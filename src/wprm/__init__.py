@@ -3,7 +3,7 @@ codes built on them: point enumeration, hypersurface zero counting, extremal
 polynomial families, and exact code parameters.
 """
 
-from .finite_field import GF, FieldElement, FiniteField, field_from_spec
+from .finite_field import GF, FiniteField, field_from_spec
 from .weighted_space import (BudgetExceeded, DelormeStep, SingularLocusReport,
                              WeightSystem, WeightedPoint,
                              WeightedProjectiveSpace, canonicalize,

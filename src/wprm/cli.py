@@ -71,8 +71,10 @@ def _json(payload) -> str:
 
 
 def _space_for(cfg: RunConfig) -> WeightedProjectiveSpace:
+    """The shared cached space, enumerated up front under the CLI's budget;
+    the budget is an argument of the call, never state on the space."""
     sp = space(cfg.weights, field_from_spec(cfg.field_spec))
-    sp.tuple_budget = cfg.tuple_budget
+    sp.point_coords(tuple_budget=cfg.tuple_budget)
     return sp
 
 

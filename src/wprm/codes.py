@@ -21,10 +21,11 @@ import numpy as np
 
 from .finite_field import FiniteField
 from .gflinalg import row_reduce
-from .weighted_space import (WeightedPoint, WeightSystem, as_weights,
-                             delorme_normalize, space)
+from .weighted_space import (BudgetExceeded, WeightedPoint, WeightSystem,
+                             as_weights, delorme_normalize, space)
 from .weighted_poly import (AffinePolynomial, WeightedPolynomial,
-                            monomial_basis)
+                            coefficient_vector, monomial_basis,
+                            monomial_values)
 from .zero_sets import (DEFAULT_CANDIDATE_BUDGET, _max_zeros_sweep,
                         lower_bound_witness, min_pair_lcm)
 
@@ -54,14 +55,6 @@ def affine_monomials(m: int, d: int) -> list[tuple[int, ...]]:
 
     rec(0, d, ())
     return out
-
-
-def _monomial_row(field: FiniteField, coords: np.ndarray, exps) -> np.ndarray:
-    v = np.ones(len(coords), dtype=np.int64)
-    for j, r in enumerate(exps):
-        if r:
-            v = field.mul_arr(v, field.pow_arr(coords[:, j], r))
-    return v
 
 
 def evaluation_column(poly: WeightedPolynomial, point: WeightedPoint,
@@ -148,32 +141,27 @@ def build_code(kind: str, field: FiniteField, m: int, d: int,
         sp = space(ws, field)
         points = sp.point_coords()
         basis = monomial_basis(ws, d)
-        if kind == "prm":
-            normalizers = np.ones(len(points), dtype=np.int64)
-        else:
-            chart = (points != 0).argmax(axis=1)
-            xc = points[np.arange(len(points)), chart]
-            normalizers = np.ones(len(points), dtype=np.int64)
-            for i in range(m + 1):
-                mask = chart == i
-                if mask.any():
-                    normalizers[mask] = field.inv_arr(
-                        field.pow_arr(xc[mask], d // ws[i]))
+        # Column j is divided by x_c^(d/a_c), c the first nonzero coordinate
+        # of point j (1 for PRM, whose points lead with a 1).
+        chart = (points != 0).argmax(axis=1)
+        powers = monomial_values(field, points, np.diag([d // a for a in ws]))
+        normalizers = field.inv_arr(powers[chart, np.arange(len(points))])
         if d > q:
             warnings.warn(f"{kind.upper()} with d = {d} > q = {q}: the "
                           f"evaluation map need not be injective; dimension "
                           f"is the matrix rank")
-    rows = [field.mul_arr(_monomial_row(field, points, exps), normalizers)
-            for exps in basis]
-    matrix = (np.stack(rows) if rows
-              else np.zeros((0, len(points)), dtype=np.int64))
+    matrix = field.mul_arr(monomial_values(field, points, basis),
+                           normalizers[None, :])
     return CodeInstance(kind, field, m, d, ws, points, basis, normalizers,
                         matrix)
 
 
 def encode(inst: CodeInstance, poly) -> np.ndarray:
-    """Codeword of a polynomial (affine for RM, weighted homogeneous otherwise)."""
-    f = inst.field
+    """Codeword of a polynomial (affine for RM, weighted homogeneous otherwise).
+
+    The codeword is the coefficient vector over the basis times the generator
+    matrix, whose columns already carry the normalisers.
+    """
     if inst.kind == "rm":
         if not isinstance(poly, AffinePolynomial):
             raise TypeError("RM encodes affine polynomials")
@@ -181,12 +169,13 @@ def encode(inst: CodeInstance, poly) -> np.ndarray:
             raise ValueError("variable count mismatch")
         if poly.total_degree > inst.d:
             raise ValueError(f"degree {poly.total_degree} exceeds order {inst.d}")
-        return poly.evaluate_many(inst.points)
-    if not isinstance(poly, WeightedPolynomial):
-        raise TypeError("projective codes encode weighted polynomials")
-    if poly.ws != inst.ws or poly.degree != inst.d:
-        raise ValueError("polynomial does not match the code's graded piece")
-    return f.mul_arr(poly.evaluate_many(inst.points), inst.normalizers)
+    else:
+        if not isinstance(poly, WeightedPolynomial):
+            raise TypeError("projective codes encode weighted polynomials")
+        if poly.ws != inst.ws or poly.degree != inst.d:
+            raise ValueError("polynomial does not match the code's graded piece")
+    index = {exps: i for i, exps in enumerate(inst.basis)}
+    return inst.field.matmul(coefficient_vector(poly, index), inst.matrix)
 
 
 # -- parameters -----------------------------------------------------------------------
@@ -327,7 +316,7 @@ def code_parameters(inst: CodeInstance, method: str = "auto", *,
     try:
         d_min = min_distance_exhaustive(inst, budget=budget, jobs=jobs)
         return CodeParameters(n, k, d_min, "exhaustive", wit_weight)
-    except Exception:
+    except BudgetExceeded:
         if wit_weight is not None:
             return CodeParameters(n, k, wit_weight, "witness-upper-bound",
                                   wit_weight)

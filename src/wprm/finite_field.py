@@ -5,7 +5,9 @@ zero and index 1 the multiplicative one; for e > 1 the index encodes the
 coefficient vector of the residue polynomial in base p, constant term in the
 lowest digit, so indices 0..p-1 are exactly the prime subfield.  Products are
 looked up in generator exp/log tables (Zech-style), which also back the
-vectorised numpy paths used by the enumeration and search kernels.
+vectorised numpy paths used by the enumeration and search kernels.  The
+field owns the GF(p) / GF(p^e) split: callers use its array ops and
+`matmul` and never branch on the extension degree themselves.
 """
 
 from __future__ import annotations
@@ -179,9 +181,6 @@ class FiniteField:
             pk *= self.p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -207,16 +206,11 @@ class FiniteField:
         """Image of the integer n under Z -> GF(p^e) (lands in the prime subfield)."""
         return n % self.p
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     # -- vectorised arithmetic on int64 index arrays --------------------------
 
     def add_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.e == 1:
-            return (a + b) % self.p
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         pk = 1
         for _ in range(self.e):
@@ -226,8 +220,6 @@ class FiniteField:
 
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
-        if self.e == 1:
-            return (-a) % self.p
         out = np.zeros(a.shape, dtype=np.int64)
         pk = 1
         for _ in range(self.e):
@@ -268,17 +260,26 @@ class FiniteField:
         return np.asarray(self.exp_table[(-self.log_table[a]) % (self.q - 1)],
                           dtype=np.int64)
 
-    # -- element views ---------------------------------------------------------
-
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
-    def elements(self):
-        return (FieldElement(self, i) for i in range(self.q))
-
-    def units(self) -> range:
-        """Indices of the nonzero elements."""
-        return range(1, self.q)
+    def matmul(self, a, b, c=None) -> np.ndarray:
+        """c + a @ b over GF(q), for index arrays a (..., k) and b (k, n) and
+        an optional c of the product's shape (zero when omitted)."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.e == 1:
+            out = a @ b
+            if c is not None:
+                out += c  # so that the whole update takes one reduction
+            return out % self.p
+        # For e > 1 integer arithmetic on indices is not field arithmetic, so
+        # add up one rank-1 term per inner index through the table ops,
+        # skipping the all-zero columns of a.
+        out = (np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+               if c is None else np.asarray(c, dtype=np.int64))
+        for j in range(b.shape[0]):
+            col = a[..., j]
+            if col.any():
+                out = self.add_arr(out, self.mul_arr(col[..., None], b[j]))
+        return out
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -296,63 +297,6 @@ class FiniteField:
         if self.e == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.e})"
-
-
-class FieldElement:
-    """A field element bound to its context; mixing contexts is an error."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: FiniteField, index: int):
-        if not 0 <= index < field.q:
-            raise ValueError(f"index {index} out of range for {field!r}")
-        self.field = field
-        self.index = index
-
-    def _check(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError("elements from different field contexts")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.index, other.index))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.index, other.index))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, other.index))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.div(self.index, other.index))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.index, n))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and other.field == self.field and other.index == self.index)
-
-    def __hash__(self):
-        return hash((self.field, self.index))
-
-    def __repr__(self):
-        return f"F{self.field.q}({self.index})"
 
 
 @functools.lru_cache(maxsize=None)

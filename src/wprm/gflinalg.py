@@ -1,8 +1,9 @@
 """Row reduction and rank over GF(q), on int64 index matrices.
 
-Prime fields run vectorised modular elimination; extension fields fall back
-to row-at-a-time elimination through the field's array ops.  Matrices at the
-scales used here (a few hundred rows) are cheap either way.
+One elimination for every field: each pivot step scales the pivot row and
+clears its column from all other rows at once, with the field's array ops and
+its matrix product (the update adds a (rows, 1) x (1, cols) product).
+Matrices at the scales used here (a few hundred rows) are cheap.
 """
 
 from __future__ import annotations
@@ -29,20 +30,14 @@ def row_reduce(mat: np.ndarray, field: FiniteField):
         piv = r + int(idx[0])
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
-        if field.e == 1:
-            p = field.p
-            A[r] = (A[r] * field.inv(int(A[r, c]))) % p
-            other = np.nonzero(A[:, c])[0]
-            other = other[other != r]
-            if len(other):
-                A[other] = (A[other] - np.outer(A[other, c], A[r])) % p
-        else:
-            A[r] = field.mul_arr(A[r], field.inv(int(A[r, c])))
-            other = np.nonzero(A[:, c])[0]
-            other = other[other != r]
-            if len(other):
-                scaled = field.mul_arr(A[other, c][:, None], A[r][None, :])
-                A[other] = field.sub_arr(A[other], scaled)
+        # Rows from r down are zero left of column c, so only columns c..
+        # change in this step.
+        A[r, c:] = field.mul_arr(A[r, c:], field.inv(int(A[r, c])))
+        other = np.nonzero(A[:, c])[0]
+        other = other[other != r]
+        if len(other):
+            A[other, c:] = field.matmul(field.neg_arr(A[other, c:c + 1]),
+                                        A[r:r + 1, c:], A[other, c:])
         pivots.append(c)
         r += 1
     return A[:r], pivots

@@ -1,6 +1,11 @@
 """Weighted homogeneous polynomials: graded monomial bases, evaluation,
 and the affine chart dictionary for weight systems with a_0 = 1.
 
+Every vectorised evaluation in the library goes through `monomial_values`,
+the matrix of monomial values at a set of points; a polynomial's values are
+its coefficient vector times that matrix over GF(q).  The scalar `evaluate`
+methods are the pure-Python reference the tests compare it with.
+
 A polynomial is a sparse map from exponent tuples to nonzero coefficient
 indices, all terms sharing one weighted degree.  Bases are emitted in
 ascending lexicographic exponent order so downstream matrices are
@@ -65,6 +70,45 @@ def dim_plane_equal_weight_formula(a: int, d: int) -> int:
     if num % (2 * a):
         raise AssertionError("closed form is not integral")
     return num // (2 * a)
+
+
+def monomial_values(field: FiniteField, coords, exponents) -> np.ndarray:
+    """(k, n) matrix of the values of k exponent tuples at n coordinate rows.
+
+    Works in the log domain: one integer product E @ log(x).T mod (q - 1)
+    gives every product of powers of units, and a zero mask sets a value to
+    0 where some x_j = 0 has r_j > 0 (x^0 = 1, also at x = 0).
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    E = np.array(exponents, dtype=np.int64).reshape(-1, coords.shape[1])
+    zero = coords == 0
+    logs = np.where(zero, 0, field.log_table[coords])
+    out = field.exp_table[(E @ logs.T) % (field.q - 1)]
+    out[(E > 0).astype(np.int64) @ zero.T.astype(np.int64) > 0] = 0
+    return out
+
+
+def _evaluate_terms(field: FiniteField, terms: dict, coords) -> int:
+    # Scalar sum of c * x^e over the terms; the pure-Python reference that
+    # the tests hold monomial_values and evaluate_many to.
+    total = 0
+    for exps, coeff in terms.items():
+        v = coeff
+        for x, r in zip(coords, exps):
+            if r:
+                v = field.mul(v, field.pow(int(x), r))
+                if v == 0:
+                    break
+        total = field.add(total, v)
+    return total
+
+
+def coefficient_vector(poly, basis_index: dict) -> np.ndarray:
+    """Coefficients of a polynomial over a basis given as {exponents: position}."""
+    v = np.zeros(len(basis_index), dtype=np.int64)
+    for exps, c in poly.terms.items():
+        v[basis_index[exps]] = c
+    return v
 
 
 class WeightedPolynomial:
@@ -154,12 +198,6 @@ class WeightedPolynomial:
                 terms[e] = f.add(terms.get(e, 0), f.mul(c1, c2))
         return WeightedPolynomial(self.ws, f, self.degree + other.degree, terms)
 
-    def scale(self, coeff: int) -> "WeightedPolynomial":
-        f = self.field
-        return WeightedPolynomial(
-            self.ws, f, self.degree,
-            {e: f.mul(c, coeff) for e, c in self.terms.items()})
-
     def __pow__(self, n: int) -> "WeightedPolynomial":
         if n < 0:
             raise ValueError("negative power")
@@ -181,30 +219,13 @@ class WeightedPolynomial:
     # -- evaluation ------------------------------------------------------------------
 
     def evaluate(self, coords) -> int:
-        f = self.field
-        total = 0
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for x, r in zip(coords, exps):
-                if r:
-                    v = f.mul(v, f.pow(int(x), r))
-                    if v == 0:
-                        break
-            total = f.add(total, v)
-        return total
+        return _evaluate_terms(self.field, self.terms, coords)
 
     def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
         """Values at every row of an (n, m+1) coordinate index array."""
-        f = self.field
-        n = coords.shape[0]
-        total = np.zeros(n, dtype=np.int64)
-        for exps, coeff in self.terms.items():
-            v = np.full(n, coeff, dtype=np.int64)
-            for j, r in enumerate(exps):
-                if r:
-                    v = f.mul_arr(v, f.pow_arr(coords[:, j], r))
-            total = f.add_arr(total, v)
-        return total
+        coeffs = np.array(list(self.terms.values()), dtype=np.int64)
+        return self.field.matmul(
+            coeffs, monomial_values(self.field, coords, list(self.terms)))
 
     def __repr__(self):
         return f"WeightedPolynomial({format_polynomial(self)!r}, ws={self.ws.weights})"
@@ -305,29 +326,7 @@ class AffinePolynomial:
         return not self.terms
 
     def evaluate(self, coords) -> int:
-        f = self.field
-        total = 0
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for x, r in zip(coords, exps):
-                if r:
-                    v = f.mul(v, f.pow(int(x), r))
-                    if v == 0:
-                        break
-            total = f.add(total, v)
-        return total
-
-    def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
-        f = self.field
-        n = coords.shape[0]
-        total = np.zeros(n, dtype=np.int64)
-        for exps, coeff in self.terms.items():
-            v = np.full(n, coeff, dtype=np.int64)
-            for j, r in enumerate(exps):
-                if r:
-                    v = f.mul_arr(v, f.pow_arr(coords[:, j], r))
-            total = f.add_arr(total, v)
-        return total
+        return _evaluate_terms(self.field, self.terms, coords)
 
     def __eq__(self, other):
         return (isinstance(other, AffinePolynomial)

@@ -128,11 +128,9 @@ def _strip_char(g: int, p: int) -> int:
 class WeightedProjectiveSpace:
     """P(a)(F_q) with cached canonical point enumeration."""
 
-    def __init__(self, weights, field: FiniteField,
-                 tuple_budget: int = DEFAULT_TUPLE_BUDGET):
+    def __init__(self, weights, field: FiniteField):
         self.ws = as_weights(weights)
         self.field = field
-        self.tuple_budget = tuple_budget
         self._coords = None
         self._points = None
 
@@ -191,10 +189,14 @@ class WeightedProjectiveSpace:
 
     # -- enumeration ------------------------------------------------------------
 
-    def point_coords(self) -> np.ndarray:
-        """All canonical points as an (n, m+1) index array, lex ascending."""
+    def point_coords(self, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
+        """All canonical points as an (n, m+1) index array, lex ascending.
+
+        The first call enumerates, refusing more than tuple_budget tuples
+        before any work starts; later calls return the cached array.
+        """
         if self._coords is None:
-            self._coords = self._enumerate()
+            self._coords = self._enumerate(tuple_budget)
         return self._coords
 
     def points(self) -> list[WeightedPoint]:
@@ -203,14 +205,14 @@ class WeightedProjectiveSpace:
                             for row in self.point_coords()]
         return self._points
 
-    def _enumerate(self) -> np.ndarray:
+    def _enumerate(self, tuple_budget: int) -> np.ndarray:
         f = self.field
         q, npos = f.q, len(self.ws)
         total = q ** npos
-        if total > self.tuple_budget:
+        if total > tuple_budget:
             raise BudgetExceeded(
                 f"enumerating P{self.ws.weights} over GF({q}) needs {total} "
-                f"tuples, over the budget of {self.tuple_budget}")
+                f"tuples, over the budget of {tuple_budget}")
         radix = q ** np.arange(npos - 1, -1, -1, dtype=np.int64)
         bits = 1 << np.arange(npos)
         chunks = []

@@ -2,7 +2,8 @@
 its closed-form count, the exhaustive max-zeros search, and bound checkers.
 
 The search kernel precomputes one monomial-value matrix per (weights, q, d) so
-every candidate polynomial costs a single dot product; candidate coefficient
+a block of candidate polynomials costs one matrix product over GF(q) against
+it (`FiniteField.matmul`); candidate coefficient
 vectors are normalised to leading coefficient 1, which cuts the sweep to
 (q^k - 1)/(q - 1) scalar classes.  Sweeps over a big candidate block can fan
 out over processes; the reduction is an ordered max, so results and witnesses
@@ -12,6 +13,7 @@ are identical at any parallelism.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 from .finite_field import GF, FiniteField
 from .weighted_space import (BudgetExceeded, WeightedProjectiveSpace, as_weights,
                              projective_count, space)
-from .weighted_poly import WeightedPolynomial, monomial_basis
+from .weighted_poly import WeightedPolynomial, monomial_basis, monomial_values
 
 DEFAULT_CANDIDATE_BUDGET = 10 ** 8
 _BLOCK = 1 << 14
@@ -45,61 +47,30 @@ def count_zeros(poly: WeightedPolynomial, sp: WeightedProjectiveSpace) -> int:
 
 def count_zeros_affine(poly: WeightedPolynomial, sp: WeightedProjectiveSpace) -> int:
     """Zeros on the chart x_0 != 0; meaningful when a_0 = 1."""
-    if poly.is_zero:
-        raise ValueError("zero polynomial has no well-defined zero set")
-    coords = sp.point_coords()
-    mask = coords[:, 0] != 0
-    return int((poly.evaluate_many(coords[mask]) == 0).sum())
+    return int((zero_mask(poly, sp) & (sp.point_coords()[:, 0] != 0)).sum())
 
 
-def monomial_values(sp: WeightedProjectiveSpace, basis) -> np.ndarray:
-    """(k, n) matrix of monomial values at every canonical point."""
-    coords = sp.point_coords()
-    f = sp.field
-    rows = []
-    for exps in basis:
-        v = np.ones(len(coords), dtype=np.int64)
-        for j, r in enumerate(exps):
-            if r:
-                v = f.mul_arr(v, f.pow_arr(coords[:, j], r))
-        rows.append(v)
-    out = np.stack(rows) if rows else np.zeros((0, len(coords)), dtype=np.int64)
-    out.setflags(write=False)
+@functools.lru_cache(maxsize=256)
+def _cached_monomial_matrix(weights: tuple, field: FiniteField,
+                            d: int) -> np.ndarray:
+    out = monomial_values(field, space(weights, field).point_coords(),
+                          monomial_basis(weights, d))
+    out.setflags(write=False)  # every caller shares the cached array
     return out
 
 
-_matrix_cache: dict = {}
-
-
 def monomial_matrix(ws, field: FiniteField, d: int) -> np.ndarray:
-    """Cached monomial-value matrix for S_d on P(ws)(F_q)."""
-    ws = as_weights(ws)
-    key = (ws.weights, field.p, field.e, d)
-    if key not in _matrix_cache:
-        _matrix_cache[key] = monomial_values(space(ws, field),
-                                             monomial_basis(ws, d))
-    return _matrix_cache[key]
+    """Cached (read-only) monomial-value matrix for S_d on P(ws)(F_q)."""
+    return _cached_monomial_matrix(as_weights(ws).weights, field, d)
 
 
 # -- candidate sweep kernel -----------------------------------------------------------
 
 
-def candidate_count(q: int, k: int) -> int:
-    return (q ** k - 1) // (q - 1)
-
-
 def batch_zero_counts(coeffs: np.ndarray, V: np.ndarray,
                       field: FiniteField) -> np.ndarray:
     """Zeros of each candidate row of coeffs (B, k) against the value matrix V."""
-    if field.e == 1:
-        W = (coeffs @ V) % field.p
-    else:
-        W = np.zeros((coeffs.shape[0], V.shape[1]), dtype=np.int64)
-        for j in range(V.shape[0]):
-            col = coeffs[:, j]
-            if col.any():
-                W = field.add_arr(W, field.mul_arr(col[:, None], V[j][None, :]))
-    return (W == 0).sum(axis=1)
+    return (field.matmul(coeffs, V) == 0).sum(axis=1)
 
 
 def _scan_lead_range(field: FiniteField, V: np.ndarray, lead: int,
@@ -153,7 +124,7 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, stop_at=None,
     """
     k = V.shape[0]
     q = field.q
-    total = candidate_count(q, k)
+    total = (q ** k - 1) // (q - 1)  # one leading-1 vector per scalar class
     if total > budget:
         raise BudgetExceeded(
             f"sweep needs {total} candidates, over the budget of {budget}; "
@@ -244,7 +215,9 @@ def max_zeros(ws, field: FiniteField, d: int, *,
         coeffs = coeffs_at(field.q, len(basis), lead, tail)
         witness = WeightedPolynomial.from_coefficients(
             ws, field, d, basis, coeffs)
-        assert count_zeros(witness, sp) == best
+        if count_zeros(witness, sp) != best:
+            raise AssertionError(f"witness {witness!r} misses the {best} "
+                                 f"zeros the sweep found")
     return MaxZerosResult(True, best, witness, total)
 
 
@@ -451,11 +424,11 @@ def family_zero_count(spec: FamilySpec, ws, q: int) -> int:
 
 
 def _torus_side_values(exponents, scale: int, field: FiniteField) -> np.ndarray:
+    # scale * x^exponents at every point of the unit torus (F_q^*)^s.
     units = np.arange(1, field.q, dtype=np.int64)
-    vals = np.array([scale], dtype=np.int64)
-    for a in exponents:
-        vals = field.mul_arr(vals[:, None], field.pow_arr(units, a)[None, :]).ravel()
-    return vals
+    torus = np.stack(np.meshgrid(*[units] * len(exponents), indexing="ij"),
+                     axis=-1).reshape(-1, len(exponents))
+    return field.mul_arr(scale, monomial_values(field, torus, [exponents])[0])
 
 
 def torus_count(a_exps, b_exps, alpha: int, beta: int,
@@ -496,39 +469,47 @@ class BoundReport:
 
 def check_bounds(poly: WeightedPolynomial, sp: WeightedProjectiveSpace, *,
                  oracle_budget: int | None = None) -> list[BoundReport]:
-    """Every applicable upper bound on |V(poly)|, each with its hypotheses checked."""
+    """Every applicable upper bound on |V(poly)|, each with its hypotheses checked.
+
+    With an oracle budget, a bound is sharp when the exhaustive maximum over
+    the nonzero F of degree d equals it: over all points for the projective
+    bounds, over the chart x_0 != 0 for the affine one.  Each of the two
+    maxima is swept at most once per call.
+    """
     if poly.is_zero:
         raise ValueError("bounds apply to nonzero polynomials")
     ws, q, m, d = sp.ws, sp.q, sp.m, poly.degree
     reports = []
 
-    def _report(name, value, bound):
-        sharp = None
-        if oracle_budget is not None:
-            try:
-                mz = max_zeros(ws, sp.field, d, budget=oracle_budget,
-                               want_witness=False)
-                sharp = mz.defined and mz.value == bound
-            except BudgetExceeded:
-                sharp = None
-        reports.append(BoundReport(name, value, bound, value <= bound, sharp))
+    @functools.cache
+    def _maximum(affine: bool) -> int | None:
+        if oracle_budget is None:
+            return None
+        V = monomial_matrix(ws, sp.field, d)
+        if affine:
+            V = V[:, sp.point_coords()[:, 0] != 0]
+        try:
+            return _max_zeros_sweep(V, sp.field, stop_at=V.shape[1],
+                                    budget=oracle_budget)[0]
+        except BudgetExceeded:
+            return None
 
-    count = None
+    def _report(name, value, bound, affine=False):
+        best = _maximum(affine)
+        reports.append(BoundReport(name, value, bound, value <= bound,
+                                   None if best is None else best == bound))
+
+    count = count_zeros(poly, sp)
     if all(a == 1 for a in ws):
-        count = count_zeros(poly, sp)
         _report("serre", count,
                 d * q ** (m - 1) + projective_count(q, m - 2))
     if m == 2 and ws[0] == 1 and ws[1] <= ws[2]:
         a1, a2 = ws[1], ws[2]
         if d % (a1 * a2) == 0:
-            if count is None:
-                count = count_zeros(poly, sp)
             if d <= a1 * (q + 1):
                 _report("weighted_plane", count, (d // a1) * q + 1)
             _report("weighted_ore_affine", count_zeros_affine(poly, sp),
-                    (d // a1) * q)
+                    (d // a1) * q, affine=True)
     if m == 1 and ws[0] == 1 and d % ws[1] == 0:
-        if count is None:
-            count = count_zeros(poly, sp)
         _report("weighted_dalembert", count, d // ws[1])
     return reports

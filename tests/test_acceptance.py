@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a summary
 line and enforcing its stated exactness and time budget."""
 
+import re
 import time
 from pathlib import Path
 
@@ -104,6 +105,19 @@ def test_criterion_7_delorme_invariance():
     res = suite_delorme(qs=(2, 3), max_weight=4, max_b=3)
     _finish(7, "max zeros and code parameters agree across weight reductions",
             res, time.perf_counter() - t0, 600)
+
+
+def test_delorme_budget_blowups_are_skipped_not_passed():
+    tight = suite_delorme(qs=(2,), max_weight=3, max_b=2, budget=1)
+    full = suite_delorme(qs=(2,), max_weight=3, max_b=2)
+    assert full.skipped == 0
+    assert tight.ok and tight.skipped > 0
+    # A skipped case records no check: the point-map check of each step
+    # still runs, the max-zeros and code comparisons after it do not.
+    assert tight.checks <= full.checks - 2 * tight.skipped
+    summary = tight.summary()
+    assert re.match(r"^PASS delorme: \d+ checks, 0 failures", summary)
+    assert f"{tight.skipped} skipped" in summary
 
 
 def test_criterion_8_bound_suites():

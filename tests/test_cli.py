@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 from wprm.cli import main
+from wprm.finite_field import GF
+from wprm.weighted_space import projective_count, projective_space, space
 
 GOLDEN = Path(__file__).parent / "golden" / "f19_table.csv"
 
@@ -87,6 +89,17 @@ def test_eq_search_budget_error(capsys):
                      "--d", "3", "--budget", "5")
     assert rc == 2
     assert "budget" in err
+
+
+def test_tuple_budget_does_not_stick_to_the_shared_space(capsys):
+    # The budget bounds this call's enumeration; the space the CLI got from
+    # the shared cache must not keep it for later callers.
+    projective_space.cache_clear()
+    rc, _, err = run(capsys, "points", "--weights", "1,2,3", "--q", "7",
+                     "--tuple-budget", "10")
+    assert rc == 2
+    assert "budget" in err
+    assert len(space((1, 2, 3), GF(7)).points()) == projective_count(7, 2)
 
 
 def test_family_command(capsys):

@@ -262,6 +262,16 @@ def test_auto_falls_back_to_witness():
     assert exact.d_min <= params.d_min
 
 
+def test_auto_falls_back_only_on_budget(monkeypatch):
+    def broken(inst, **kwargs):
+        raise ValueError("sweep failed")
+
+    monkeypatch.setattr("wprm.codes.min_distance_exhaustive", broken)
+    inst = build_code("wprm", GF(3), 3, 2, (1, 1, 1, 2))
+    with pytest.raises(ValueError, match="sweep failed"):
+        code_parameters(inst, "auto")
+
+
 def test_export_matrix_format():
     inst = build_code("wprm", GF(2), 2, 2, (1, 1, 2))
     text = export_generator_matrix(inst)

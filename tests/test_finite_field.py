@@ -129,22 +129,6 @@ def test_from_int_embeds_prime_subfield(fq):
     assert fq.from_int(-1) == fq.neg(1)
 
 
-def test_field_elements():
-    F7 = GF(7)
-    a, b = F7.element(3), F7.element(5)
-    assert (a + b).index == 1
-    assert (a * b).index == 1
-    assert (a / a).index == 1
-    assert (-a).index == 4
-    assert (a ** 6).index == 1
-    assert a != b and a == F7.element(3)
-    assert bool(a) and not bool(F7.element(0))
-    with pytest.raises(ValueError):
-        a + GF(5).element(1)
-    with pytest.raises(TypeError):
-        a + 1
-
-
 def test_field_from_spec():
     assert field_from_spec("19") is GF(19)
     assert field_from_spec("2^2") is GF(2, 2)

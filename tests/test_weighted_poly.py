@@ -104,14 +104,14 @@ def test_grading_identity():
 
 
 def test_evaluate_many_matches_scalar():
-    fq = GF(2, 2)
     ws = (1, 2, 3)
-    sp = space(ws, fq)
-    F = WeightedPolynomial(ws, fq, 6, {(6, 0, 0): 1, (1, 1, 1): 2,
-                                       (0, 3, 0): 3, (0, 0, 2): 1})
-    coords = sp.point_coords()
-    vec = F.evaluate_many(coords)
-    assert [int(v) for v in vec] == [F.evaluate(row) for row in coords]
+    terms = {(6, 0, 0): 1, (1, 1, 1): 2, (0, 3, 0): 3, (0, 0, 2): 1}
+    for fq in (GF(2), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)):
+        F = WeightedPolynomial(ws, fq, 6, {e: min(c, fq.q - 1)
+                                           for e, c in terms.items()})
+        coords = space(ws, fq).point_coords()
+        vec = F.evaluate_many(coords)
+        assert [int(v) for v in vec] == [F.evaluate(row) for row in coords]
 
 
 def test_ring_operations():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wprm.finite_field import GF, field_from_spec
-from wprm.weighted_space import (BudgetExceeded, WeightSystem, as_weights,
+from wprm.weighted_space import (BudgetExceeded, WeightSystem,
+                                 WeightedProjectiveSpace, as_weights,
                                  canonicalize, delorme_normalize,
                                  delorme_reduce, enumerate_points,
                                  is_well_formed, orbit_size, projective_count,
@@ -201,10 +202,9 @@ def test_enumeration_is_chunk_independent(monkeypatch):
 
 
 def test_budget_exceeded():
-    sp = space((1, 1, 1), GF(7))
-    sp = type(sp)((1, 1, 1), GF(7), tuple_budget=10)
+    sp = WeightedProjectiveSpace((1, 1, 1), GF(7))
     with pytest.raises(BudgetExceeded):
-        sp.point_coords()
+        sp.point_coords(tuple_budget=10)
 
 
 # -- Delorme reduction --------------------------------------------------------------------

@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,3 +408,62 @@ def test_ore_affine_report():
     assert reports["weighted_ore_affine"].value == count_zeros_affine(F, sp)
     assert reports["weighted_ore_affine"].bound == 3 * 3
     assert reports["weighted_ore_affine"].satisfied
+
+
+def test_ore_affine_sharpness_judged_on_the_affine_chart():
+    # Three vertical lines X1 = t X0^2 on P(1,2,3)/F5 have 3 * 5 affine
+    # zeros, exactly the affine bound (d/a1) q; the projective maximum is
+    # another number and must not decide the affine report.
+    fq = GF(5)
+    ws = (1, 2, 3)
+    F = WeightedPolynomial(ws, fq, 0, {(0, 0, 0): 1})
+    for t in range(3):
+        F = F * WeightedPolynomial(ws, fq, 2, {(2, 0, 0): fq.neg(t),
+                                               (0, 1, 0): 1})
+    sp = space(ws, fq)
+    reports = {r.name: r for r in check_bounds(F, sp, oracle_budget=10 ** 6)}
+    r = reports["weighted_ore_affine"]
+    assert r.value == r.bound == 15
+    assert r.sharp is True
+
+
+def test_check_bounds_sweeps_each_maximum_once(monkeypatch):
+    # On P^2 three bounds apply (serre, weighted_plane, affine): one
+    # projective sweep serves the first two, one affine sweep the third.
+    calls = []
+    sweep = zs._max_zeros_sweep
+
+    def counting(V, *args, **kwargs):
+        calls.append(V.shape)
+        return sweep(V, *args, **kwargs)
+
+    monkeypatch.setattr(zs, "_max_zeros_sweep", counting)
+    fq = GF(3)
+    ws = (1, 1, 1)
+    sp = space(ws, fq)
+    reports = check_bounds(lower_bound_witness(ws, 2, fq), sp,
+                           oracle_budget=10 ** 6)
+    assert [r.name for r in reports] == ["serre", "weighted_plane",
+                                         "weighted_ore_affine"]
+    assert sorted(n for _, n in calls) == [9, 13]
+
+
+def test_witness_check_survives_python_O():
+    # `python -O` strips asserts; the witness check must still raise.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent("""
+        import wprm.zero_sets as zs
+        from wprm.finite_field import GF
+        zs.count_zeros = lambda poly, sp: -1
+        try:
+            zs.max_zeros((1, 1, 1), GF(2), 1)
+        except AssertionError:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          timeout=120)
+    assert proc.returncode == 0
