@@ -99,8 +99,16 @@ class CodeInstance:
         return self.field.q
 
     @cached_property
+    def rref(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Read-only reduced row-echelon form of the generator matrix, with
+        its pivot columns; computed once per instance."""
+        R, pivots = row_reduce(self.matrix, self.field)
+        R.setflags(write=False)
+        return R, tuple(pivots)
+
+    @property
     def rank(self) -> int:
-        return row_reduce(self.matrix, self.field)[0].shape[0]
+        return self.rref[0].shape[0]
 
     def __repr__(self):
         tag = f"; {self.ws.weights}" if self.ws is not None else ""
@@ -270,7 +278,7 @@ def min_distance_exhaustive(inst: CodeInstance, *,
                             budget: int = DEFAULT_CANDIDATE_BUDGET,
                             jobs=None) -> int:
     """Exact minimum Hamming weight by sweeping one codeword per scalar class."""
-    R, _ = row_reduce(inst.matrix, inst.field)
+    R, _ = inst.rref
     if R.shape[0] == 0:
         raise ValueError("the zero code has no minimum distance")
     best, _, _ = _max_zeros_sweep(R, inst.field, stop_at=inst.n - 1,

@@ -1,18 +1,24 @@
 """Zero counting for weighted homogeneous polynomials, the product family with
 its closed-form count, the exhaustive max-zeros search, and bound checkers.
 
-The search kernel precomputes one monomial-value matrix per (weights, q, d) so
-a block of candidate polynomials costs one matrix product over GF(q) against
-it (`FiniteField.matmul`); candidate coefficient
-vectors are normalised to leading coefficient 1, which cuts the sweep to
-(q^k - 1)/(q - 1) scalar classes.  Sweeps over a big candidate block can fan
-out over processes; the reduction is an ordered max, so results and witnesses
-are identical at any parallelism.
+The search sweeps one monomial-value matrix V per (weights, q, d) against
+every coefficient vector with leading coefficient 1, which cuts the sweep to
+(q^k - 1)/(q - 1) scalar classes.  Its kernel splits each vector into a high
+part and a low part of its last L coefficients.  The codewords of all q^L low
+parts form a byte table, built once per sweep and one digit per leading
+position as the tails widen, so a sweep that stops early builds only what it
+used.  Each high part h costs one small product h.V_hi over GF(q)
+(`FiniteField.matmul`); the zero counts of its q^L candidates are then one
+equality compare per point against -h.V_hi.  Only the field's array ops
+touch field elements, so prime and extension fields share the kernel.  Sweeps
+over a big candidate block can fan out over one process pool; the reduction
+is an ordered max, so results and witnesses are identical at any parallelism.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import math
 import os
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import GF, FiniteField
+from .finite_field import FiniteField
 from .weighted_space import (BudgetExceeded, WeightedProjectiveSpace, as_weights,
                              projective_count, space)
 from .weighted_poly import WeightedPolynomial, monomial_basis, monomial_values
@@ -28,6 +34,7 @@ from .weighted_poly import WeightedPolynomial, monomial_basis, monomial_values
 DEFAULT_CANDIDATE_BUDGET = 10 ** 8
 _BLOCK = 1 << 14
 _PARALLEL_MIN = 1 << 21
+_TABLE_CELLS = 1 << 18
 
 
 # -- single-polynomial counting -----------------------------------------------------
@@ -73,36 +80,71 @@ def batch_zero_counts(coeffs: np.ndarray, V: np.ndarray,
     return (field.matmul(coeffs, V) == 0).sum(axis=1)
 
 
-def _scan_lead_range(field: FiniteField, V: np.ndarray, lead: int,
-                     lo: int, hi: int, stop_at, block: int) -> tuple[int, int]:
+def _low_width(q: int, k: int, n: int) -> int:
+    """Digits in a low part: the largest L < k with q^L * n <= _TABLE_CELLS."""
+    L = 0
+    while L + 1 < k and q ** (L + 1) * max(n, 1) <= _TABLE_CELLS:
+        L += 1
+    return L
+
+
+def _extend_table(T: np.ndarray, row: np.ndarray,
+                  field: FiniteField) -> np.ndarray:
+    """Prepend one digit to the low parts of the table T (n, q^w).
+
+    Column t of T is the codeword of the low part whose base-q digits are t;
+    column a*q^w + t of the result is a*row + T[:, t].  The first q^w columns
+    are T again.
+    """
+    n, cols = T.shape
+    out = np.empty((n, field.q, cols), dtype=T.dtype)
+    for a in range(field.q):  # one slice at a time keeps temporaries small
+        out[:, a] = field.add_arr(field.mul_arr(row, a)[:, None], T)
+    return out.reshape(n, field.q * cols)
+
+
+def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
+                     lead: int, lo: int, hi: int, stop_at,
+                     block: int) -> tuple[int, int]:
     """Best zero count over tails [lo, hi) for a fixed leading position.
 
-    Returns (best, first tail index attaining it); tails enumerate the free
-    coefficients after the leading 1 in ascending mixed-radix order.
+    Tails enumerate the free coefficients after the leading 1 in ascending
+    mixed-radix order.  Returns (best, first tail attaining it) over the tails
+    up to the first one whose count reaches stop_at (over all of them when
+    stop_at is None).  The last w = min(L, width) digits of a tail are its low
+    part, whose codeword is a column of the low table T; the leading 1 and the
+    other digits are its high part h.  The tail vanishes at a point exactly
+    where that column equals -h.V_hi, so one compare per point counts the
+    zeros of every low part of h at once.
     """
-    k = V.shape[0]
+    k, n = V.shape
     q = field.q
     width = k - lead - 1
-    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    cols = min(T.shape[1], q ** width)
+    low = round(math.log(cols, q))  # cols == q ** low
+    Tw = T[:, :cols]
+    V_hi = V[lead:k - low]
+    powers = q ** np.arange(width - low - 1, -1, -1, dtype=np.int64)
+    per = max(1, block // cols)  # high parts per block
+    counts = np.min_scalar_type(n)  # summing in a narrow dtype is faster
+    h_end = -(-hi // cols) if lo < hi else 0
     best, best_tail = -1, -1
-    for start in range(lo, hi, block):
-        tails = np.arange(start, min(start + block, hi), dtype=np.int64)
-        C = np.zeros((len(tails), k), dtype=np.int64)
-        C[:, lead] = 1
-        if width:
-            C[:, lead + 1:] = (tails[:, None] // powers) % q
-        z = batch_zero_counts(C, V, field)
+    for h0 in range(lo // cols, h_end, per):
+        h = np.arange(h0, min(h0 + per, h_end), dtype=np.int64)
+        H = np.ones((len(h), width - low + 1), dtype=np.int64)
+        H[:, 1:] = (h[:, None] // powers) % q  # the high digits
+        W = field.neg_arr(field.matmul(H, V_hi)).astype(T.dtype)
+        z = (Tw[None] == W[:, :, None]).sum(axis=1, dtype=counts).ravel()
+        base = h0 * cols  # the tail of z[0]
+        first = max(lo, base)
+        z = z[first - base:min(hi, base + len(z)) - base]
         i = int(np.argmax(z))
-        if int(z[i]) > best:
-            best, best_tail = int(z[i]), int(tails[i])
-            if stop_at is not None and best >= stop_at:
-                return best, best_tail
+        if z[i] > best:
+            if stop_at is not None and z[i] >= stop_at:
+                i = int(np.argmax(z >= stop_at))
+                return int(z[i]), first + i
+            best, best_tail = int(z[i]), first + i
     return best, best_tail
-
-
-def _scan_worker(args):
-    p, e, V, lead, lo, hi, stop_at, block = args
-    return _scan_lead_range(GF(p, e), V, lead, lo, hi, stop_at, block)
 
 
 def _resolve_jobs(jobs) -> int:
@@ -120,9 +162,10 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, stop_at=None,
     """Maximum zero count over all leading-1 coefficient vectors.
 
     Leading positions are scanned from the last basis element backwards, so
-    sparse candidates come first; returns (best, (lead, tail), total).
+    sparse candidates come first; returns (best, (lead, tail), total), with
+    the sweep cut short once the count reaches stop_at.
     """
-    k = V.shape[0]
+    k, n = V.shape
     q = field.q
     total = (q ** k - 1) // (q - 1)  # one leading-1 vector per scalar class
     if total > budget:
@@ -130,41 +173,54 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, stop_at=None,
             f"sweep needs {total} candidates, over the budget of {budget}; "
             f"raise the budget or shrink the instance")
     jobs = _resolve_jobs(jobs)
+    L = _low_width(q, k, n)
+    T = np.zeros((n, 1), dtype=np.uint8 if q <= 256 else np.uint16)
     best, best_lead, best_tail = -1, -1, -1
-    for lead in range(k - 1, -1, -1):
-        tail_count = q ** (k - 1 - lead)
-        if jobs > 1 and tail_count >= _PARALLEL_MIN:
-            b, t = _scan_lead_parallel(field, V, lead, tail_count, stop_at,
-                                       block, jobs)
-        else:
-            b, t = _scan_lead_range(field, V, lead, 0, tail_count, stop_at, block)
-        if b > best:
-            best, best_lead, best_tail = b, lead, t
-            if stop_at is not None and best >= stop_at:
-                break
+    with contextlib.ExitStack() as stack:
+        pool = None
+        for lead in range(k - 1, -1, -1):
+            width = k - 1 - lead
+            if 0 < width <= L:
+                T = _extend_table(T, V[k - width], field)
+            tail_count = q ** width
+            if jobs > 1 and tail_count >= _PARALLEL_MIN:
+                if pool is None:
+                    pool = stack.enter_context(
+                        concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+                b, t = _scan_lead_parallel(pool, field, V, T, lead, tail_count,
+                                           stop_at, block, jobs)
+            else:
+                b, t = _scan_lead_range(field, V, T, lead, 0, tail_count,
+                                        stop_at, block)
+            if b > best:
+                best, best_lead, best_tail = b, lead, t
+                if stop_at is not None and best >= stop_at:
+                    break
     return best, (best_lead, best_tail), total
 
 
-def _scan_lead_parallel(field, V, lead, tail_count, stop_at, block, jobs):
+def _scan_lead_parallel(pool, field, V, T, lead, tail_count, stop_at, block,
+                        jobs):
+    # Chunks are cut at multiples of the low parts' count, so no high part
+    # straddles two.
+    cols = min(T.shape[1], field.q ** (V.shape[0] - 1 - lead))
     step = -(-tail_count // (jobs * 4))
-    step = -(-step // block) * block
-    ranges = [(lo, min(lo + step, tail_count))
-              for lo in range(0, tail_count, step)]
-    args = [(field.p, field.e, V, lead, lo, hi, stop_at, block)
-            for lo, hi in ranges]
+    step = -(-step // cols) * cols
+    # The field pickles as GF(p, e), so a worker gets its cached copy.
+    futures = [pool.submit(_scan_lead_range, field, V, T, lead, lo,
+                           min(lo + step, tail_count), stop_at, block)
+               for lo in range(0, tail_count, step)]
     best, best_tail = -1, -1
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-        futures = [ex.submit(_scan_worker, a) for a in args]
-        try:
-            for fut in futures:
-                b, t = fut.result()
-                if b > best:
-                    best, best_tail = b, t
-                    if stop_at is not None and best >= stop_at:
-                        break
-        finally:
-            for fut in futures:
-                fut.cancel()
+    try:
+        for fut in futures:
+            b, t = fut.result()
+            if b > best:
+                best, best_tail = b, t
+                if stop_at is not None and best >= stop_at:
+                    break
+    finally:
+        for fut in futures:
+            fut.cancel()
     return best, best_tail
 
 
@@ -423,12 +479,23 @@ def family_zero_count(spec: FamilySpec, ws, q: int) -> int:
 # -- torus counting -------------------------------------------------------------------
 
 
-def _torus_side_values(exponents, scale: int, field: FiniteField) -> np.ndarray:
-    # scale * x^exponents at every point of the unit torus (F_q^*)^s.
+@functools.lru_cache(maxsize=1024)
+def _torus_histogram(exponents: tuple, field: FiniteField) -> np.ndarray:
+    # How often each field element is x^exponents on the unit torus (F_q^*)^s.
     units = np.arange(1, field.q, dtype=np.int64)
     torus = np.stack(np.meshgrid(*[units] * len(exponents), indexing="ij"),
                      axis=-1).reshape(-1, len(exponents))
-    return field.mul_arr(scale, monomial_values(field, torus, [exponents])[0])
+    out = np.bincount(monomial_values(field, torus, [exponents])[0],
+                      minlength=field.q)
+    out.setflags(write=False)  # every caller shares the cached array
+    return out
+
+
+def _scaled_histogram(exponents, scale: int, field: FiniteField) -> np.ndarray:
+    # Multiplying by a unit permutes F_q: scale * x^e = y exactly when
+    # x^e = y / scale.
+    hist = _torus_histogram(tuple(int(e) for e in exponents), field)
+    return hist[field.mul_arr(np.arange(field.q), field.inv(scale))]
 
 
 def torus_count(a_exps, b_exps, alpha: int, beta: int,
@@ -440,10 +507,8 @@ def torus_count(a_exps, b_exps, alpha: int, beta: int,
         raise ValueError("each side needs at least one variable")
     if any(e < 1 for e in tuple(a_exps) + tuple(b_exps)):
         raise ValueError("exponents must be positive")
-    lhs = _torus_side_values(a_exps, alpha, field)
-    rhs = _torus_side_values(b_exps, beta, field)
-    cl = np.bincount(lhs, minlength=field.q)
-    cr = np.bincount(rhs, minlength=field.q)
+    cl = _scaled_histogram(a_exps, alpha, field)
+    cr = _scaled_histogram(b_exps, beta, field)
     return int((cl * cr).sum())
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wprm.codes as codes
 from wprm.finite_field import GF, field_from_spec
 from wprm.weighted_space import space
 from wprm.weighted_poly import (AffinePolynomial, WeightedPolynomial,
@@ -270,6 +271,24 @@ def test_auto_falls_back_only_on_budget(monkeypatch):
     inst = build_code("wprm", GF(3), 3, 2, (1, 1, 1, 2))
     with pytest.raises(ValueError, match="sweep failed"):
         code_parameters(inst, "auto")
+
+
+def test_code_parameters_row_reduces_once(monkeypatch):
+    calls = []
+    row_reduce = codes.row_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return row_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "row_reduce", counting)
+    inst = build_code("wprm", GF(3), 2, 2, (1, 1, 2))
+    params = code_parameters(inst, "both")
+    assert params.k == inst.rank and len(calls) == 1
+    R, pivots = inst.rref
+    assert R.shape[0] == inst.rank and len(pivots) == inst.rank
+    with pytest.raises(ValueError):
+        R[0, 0] = 0  # the echelon form is shared, so it is read-only
 
 
 def test_export_matrix_format():

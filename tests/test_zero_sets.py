@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import wprm.zero_sets as zs
+from wprm.codes import build_code, min_distance_exhaustive
 from wprm.finite_field import GF, field_from_spec
 from wprm.weighted_space import BudgetExceeded, projective_count, space
 from wprm.weighted_poly import WeightedPolynomial, monomial_basis
@@ -211,21 +213,35 @@ def test_torus_validation():
 
 
 def test_torus_matches_brute_force():
-    fq = GF(3)
-    for a_exps, b_exps in [((1, 2), (1,)), ((2,), (3,)), ((1, 1), (2, 3))]:
-        for alpha, beta in [(1, 1), (2, 1), (2, 2)]:
-            s0, s1 = len(a_exps), len(b_exps)
-            brute = 0
-            for xs in itertools.product(range(1, 3), repeat=s0):
-                for ys in itertools.product(range(1, 3), repeat=s1):
+    # The later cases have non-coprime exponents and alpha, beta != 1 over
+    # prime and extension fields; the cached histograms serve every scaling.
+    cases = [(GF(3), [((1, 2), (1,)), ((2,), (3,)), ((1, 1), (2, 3))],
+              [(1, 1), (2, 1), (2, 2)])]
+    cases += [(fq, [((2, 4), (6,)), ((3,), (3, 3)), ((2,), (4,))],
+               [(2, 3), (fq.q - 1, 2), (3, 3)])
+              for fq in (GF(7), GF(2, 2), GF(3, 2))]
+    for fq, exps, scalings in cases:
+        units = range(1, fq.q)
+        for a_exps, b_exps in exps:
+            for alpha, beta in scalings:
+                brute = 0
+                for xs in itertools.product(units, repeat=len(a_exps)):
                     lhs = alpha
                     for x, a in zip(xs, a_exps):
                         lhs = fq.mul(lhs, fq.pow(x, a))
-                    rhs = beta
-                    for y, b in zip(ys, b_exps):
-                        rhs = fq.mul(rhs, fq.pow(y, b))
-                    brute += lhs == rhs
-            assert torus_count(a_exps, b_exps, alpha, beta, fq) == brute
+                    for ys in itertools.product(units, repeat=len(b_exps)):
+                        rhs = beta
+                        for y, b in zip(ys, b_exps):
+                            rhs = fq.mul(rhs, fq.pow(y, b))
+                        brute += lhs == rhs
+                assert torus_count(a_exps, b_exps, alpha, beta, fq) == brute
+
+
+def test_torus_histogram_cache_is_read_only():
+    hist = zs._torus_histogram((2, 3), GF(5))
+    assert zs._torus_histogram((2, 3), GF(5)) is hist
+    with pytest.raises(ValueError):
+        hist[1] = 0
 
 
 # -- exhaustive max-zeros ------------------------------------------------------------------
@@ -278,13 +294,32 @@ def test_max_zeros_budget():
 
 
 def test_parallel_sweep_matches_serial(monkeypatch):
-    ws, d = (1, 1, 1), 3
-    fq = GF(3)
-    serial = max_zeros(ws, fq, d, jobs=1)
+    cases = [((1, 1, 1), GF(3), 3), ((1, 1, 2), GF(2, 2), 4)]
+    serial = [max_zeros(ws, fq, d, jobs=1) for ws, fq, d in cases]
+    # a stop_at first reached in the middle of a lead
+    V = zs.monomial_matrix((1, 1, 1), GF(3), 3)
+    best, (lead, tail), _ = zs._max_zeros_sweep(V, GF(3), jobs=1)
+    assert 0 < tail < GF(3).q ** (V.shape[0] - 1 - lead) - 1
+    early = zs._max_zeros_sweep(V, GF(3), stop_at=best, jobs=1)
+    inst = build_code("prm", GF(3), 2, 2)
+    d_min = min_distance_exhaustive(inst, jobs=1)
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
     monkeypatch.setattr(zs, "_PARALLEL_MIN", 4)
-    parallel = max_zeros(ws, fq, d, jobs=2)
-    assert parallel.value == serial.value
-    assert parallel.witness == serial.witness
+    monkeypatch.setattr(zs, "_TABLE_CELLS", 3 * V.shape[1])  # L = 1
+    for (ws, fq, d), want in zip(cases, serial):
+        got = max_zeros(ws, fq, d, jobs=2)
+        assert (got.value, got.witness) == (want.value, want.witness)
+    assert zs._max_zeros_sweep(V, GF(3), stop_at=best, jobs=2) == early
+    assert min_distance_exhaustive(inst, jobs=2) == d_min
+    assert len(pools) == 4  # one pool per sweep, not one per lead
 
 
 def test_jobs_resolution(monkeypatch):
