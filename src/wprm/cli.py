@@ -398,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_CANDIDATE_BUDGET,
                        help="candidate-class cap for sweeps")
         p.add_argument("--tuple-budget", type=int,
-                       default=DEFAULT_TUPLE_BUDGET)
+                       default=DEFAULT_TUPLE_BUDGET,
+                       help="cap on the entries of the point array, "
+                            "p_m points times m+1 coordinates")
         p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
 

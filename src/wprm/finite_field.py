@@ -78,7 +78,8 @@ def _canonical_reduction(p: int, e: int) -> tuple[int, ...]:
     # Lexicographically smallest irreducible monic of degree e, comparing
     # coefficients low degree first under 0 < 1 < ... < p-1.
     for tail in itertools.product(range(p), repeat=e):
-        if _is_irreducible(tail, e, p):
+        # X divides every candidate whose constant term is 0
+        if tail[0] and _is_irreducible(tail, e, p):
             return tail
     raise RuntimeError(f"no irreducible of degree {e} over GF({p})")
 
@@ -102,16 +103,12 @@ class FiniteField:
         self.q = q
         self.reduction_poly = () if e == 1 else _canonical_reduction(p, e)
         self.generator = self._find_generator()
-        exp = np.empty(max(q - 1, 1), dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            acc = self._mul_slow(acc, self.generator)
+        exp = self._powers_of_generator()
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         self.exp_table = exp
         self.log_table = log
-        if len(set(exp.tolist())) != q - 1 or 0 in exp:
+        if (exp == 0).any() or np.count_nonzero(log >= 0) != q - 1:
             raise AssertionError("exp table is not a bijection onto the units")
 
     # -- construction helpers ------------------------------------------------
@@ -141,6 +138,22 @@ class FiniteField:
                     prod[i + j] = (prod[i + j] + ca * cb) % self.p
         red = list(self.reduction_poly) + [1]
         return self._from_digits(_poly_rem(prod, red, self.p))
+
+    def _powers_of_generator(self) -> np.ndarray:
+        # exp[k] = g^k for k < q - 1, by doubling: exp[k:2k] = g^k exp[0:k].
+        # Multiplication by y = g^k is GF(p)-linear on base-p digit vectors;
+        # row t of its matrix is the digits of y X^t, and X^t has index p^t.
+        p, e = self.p, self.e
+        radix = p ** np.arange(e, dtype=np.int64)
+        exp = np.ones(1, dtype=np.int64)
+        while len(exp) < self.q - 1:
+            k = len(exp)
+            y = self._pow_slow(self.generator, k)
+            rows = np.array([self._to_digits(self._mul_slow(y, int(x)))
+                             for x in radix], dtype=np.int64)
+            digits = exp[:self.q - 1 - k, None] // radix % p
+            exp = np.concatenate([exp, (digits @ rows % p) @ radix])
+        return exp
 
     def _pow_slow(self, a: int, n: int) -> int:
         r = 1

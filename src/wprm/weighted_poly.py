@@ -14,6 +14,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -29,10 +30,16 @@ def weighted_degree(ws, exponents) -> int:
 
 
 def monomial_basis(ws, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples with sum a_i r_i = d, lex ascending; may be empty."""
-    ws = as_weights(ws)
+    """Exponent tuples with sum a_i r_i = d, lex ascending; may be empty.
+
+    Each call returns a fresh list, so callers may mutate it."""
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
+    return list(_monomial_basis(as_weights(ws).weights, d))
+
+
+@functools.lru_cache(maxsize=1024)
+def _monomial_basis(ws: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, remaining: int, prefix: tuple[int, ...]):
@@ -44,7 +51,7 @@ def monomial_basis(ws, d: int) -> list[tuple[int, ...]]:
             rec(i + 1, remaining - r * ws[i], prefix + (r,))
 
     rec(0, d, ())
-    return out
+    return tuple(out)
 
 
 def dim_Sd(ws, d: int) -> int:

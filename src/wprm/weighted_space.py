@@ -14,6 +14,19 @@ lambda realising the rest lives in an extension: (1,0) and (2,0) are the same
 point of P(2,3) over F_3 (lambda a square root of 2) although no unit scaling
 connects them.  Canonical representative of a point: the lexicographically
 smallest tuple of its class under the index order.
+
+In the log domain the scaling by k adds k c_i to log x_i, with c_i the log of
+coordinate i's multiplier, so the lex-min tuple is found one coordinate of S
+at a time (the stabiliser chain).  The least value of x_{i_0} over its orbit
+fixes k up to the stabiliser of that value, the shifts in L_1 Z; the least
+value of x_{i_1} over that stabiliser fixes k up to L_2 Z; and so on down S.
+Under the shifts L_j Z the log of x_{i_j} moves through one coset of g_j Z in
+Z/(q-1), with g_j = gcd(L_j c_{i_j}, q - 1), and L_{j+1} = L_j (q-1)/g_j.
+None of this depends on the values, only on S and the weights, so the
+canonical tuples on S are exactly the Cartesian product of the sets M_j of
+least units of the g_j cosets.  Enumeration builds that product stratum by
+stratum, in work and memory proportional to the p_m points;
+canonicalisation walks the chain with one table lookup per coordinate.
 """
 
 from __future__ import annotations
@@ -21,13 +34,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .finite_field import FiniteField
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
-_CHUNK = 1 << 18
 
 
 class BudgetExceeded(RuntimeError):
@@ -125,6 +138,30 @@ def _strip_char(g: int, p: int) -> int:
     return g
 
 
+@functools.lru_cache(maxsize=256)
+def _coset_minima(field: FiniteField, width: int):
+    """(log, value) of the least unit in each coset r + width Z of the log
+    group, r = 0..width-1, as read-only arrays; width divides q - 1."""
+    cosets = field.exp_table.reshape(-1, width)  # [t, r] = exp[t width + r]
+    logs = np.arange(width, dtype=np.int64) + width * cosets.argmin(axis=0)
+    values = cosets.min(axis=0)
+    logs.flags.writeable = values.flags.writeable = False
+    return logs, values
+
+
+class _Link(NamedTuple):
+    """One coordinate of a support's stabiliser chain."""
+
+    index: int      # the coordinate
+    step: int       # log of its scaling multiplier
+    stride: int     # the shifts left free are stride Z (mod q - 1)
+    width: int      # they move log x through one coset of width Z
+    period: int     # (q - 1) / width, the orbit of x under them
+    inv: int        # inverse of stride step / width modulo period
+    min_log: np.ndarray  # log of the least unit of each coset
+    minima: np.ndarray   # those least units: the set M_j
+
+
 class WeightedProjectiveSpace:
     """P(a)(F_q) with cached canonical point enumeration."""
 
@@ -133,6 +170,7 @@ class WeightedProjectiveSpace:
         self.field = field
         self._coords = None
         self._points = None
+        self._chains: dict[tuple[int, ...], tuple[_Link, ...]] = {}
 
     @property
     def m(self) -> int:
@@ -153,47 +191,91 @@ class WeightedProjectiveSpace:
 
     # -- representative machinery ---------------------------------------------
 
+    def _scaling_logs(self, support: tuple[int, ...]) -> list[int]:
+        # Logs of the multipliers that generate the representative set.
+        ws, n1 = self.ws.weights, self.q - 1
+        g = _strip_char(math.gcd(*[ws[i] for i in support]), self.field.p)
+        return [ws[i] // g % n1 for i in support]
+
     def scaling_generator(self, support: tuple[int, ...]) -> tuple[int, ...]:
         """Per-coordinate multipliers generating the representative set on a support."""
-        g = math.gcd(*(self.ws[i] for i in support))
-        g = _strip_char(g, self.field.p)
+        exp = self.field.exp_table
+        return tuple(int(exp[c]) for c in self._scaling_logs(support))
+
+    def _chain(self, support: tuple[int, ...]) -> tuple[_Link, ...]:
+        """The stabiliser chain of a support, built once per space."""
+        chain = self._chains.get(support)
+        if chain is None:
+            n1 = self.q - 1
+            links, stride = [], 1
+            for i, c in zip(support, self._scaling_logs(support)):
+                u = stride * c % n1
+                width = math.gcd(u, n1)
+                period = n1 // width
+                links.append(_Link(i, c, stride, width, period,
+                                   pow(u // width, -1, period),
+                                   *_coset_minima(self.field, width)))
+                stride *= period
+            chain = self._chains[support] = tuple(links)
+        return chain
+
+    def _checked(self, raw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # (raw as ints, its support), refusing the zero tuple and non-elements.
+        raw = tuple(map(int, raw))
+        if len(raw) != len(self.ws) or min(raw) < 0 or max(raw) >= self.q:
+            raise ValueError(f"{raw} is not a tuple of {len(self.ws)} "
+                             f"elements of GF({self.q})")
+        support = tuple(i for i, c in enumerate(raw) if c)
+        if not support:
+            raise ValueError("the zero tuple does not represent a point")
+        return raw, support
+
+    def _orbit(self, raw) -> np.ndarray:
+        # The q - 1 representative tuples of raw, row k scaled by shift k.
+        raw, support = self._checked(raw)
         f = self.field
-        if f.q == 2:
-            return tuple(1 for _ in support)
-        return tuple(int(f.exp_table[(self.ws[i] // g) % (f.q - 1)])
-                     for i in support)
+        n1 = f.q - 1
+        shifts = np.arange(n1, dtype=np.int64)[:, None]
+        logs = (f.log_table[[raw[i] for i in support]]
+                + shifts * np.array(self._scaling_logs(support))) % n1
+        out = np.zeros((n1, len(raw)), dtype=np.int64)
+        out[:, support] = f.exp_table[logs]
+        return out
 
     def representatives(self, raw) -> list[tuple[int, ...]]:
         """All GF(q)-rational tuples representing the same point as raw."""
-        raw = tuple(int(c) for c in raw)
-        if not any(raw):
-            raise ValueError("the zero tuple does not represent a point")
-        support = tuple(i for i, c in enumerate(raw) if c)
-        gamma = self.scaling_generator(support)
-        f = self.field
-        out = [raw]
-        cur = list(raw)
-        for _ in range(f.q - 2):
-            for i, gi in zip(support, gamma):
-                cur[i] = f.mul(cur[i], gi)
-            out.append(tuple(cur))
-        return out
+        return [tuple(row) for row in self._orbit(raw).tolist()]
 
     def orbit_size(self, raw) -> int:
         """Number of distinct rational representative tuples (q - 1)."""
-        return len(set(self.representatives(raw)))
+        reps = self._orbit(raw)
+        reps = reps[np.lexsort(reps.T)]
+        return 1 + int((reps[1:] != reps[:-1]).any(axis=1).sum())
 
     def canonicalize(self, raw) -> WeightedPoint:
         """Lexicographically least representative, under the index order."""
-        return WeightedPoint(min(self.representatives(raw)))
+        raw, support = self._checked(raw)
+        f = self.field
+        log, n1 = f.log_table, f.q - 1
+        out = list(raw)
+        shift = 0  # log of the scaling chosen so far
+        for i, step, stride, width, period, inv, min_log, minima in \
+                self._chain(support):
+            lx = (log.item(raw[i]) + shift * step) % n1
+            r = lx % width
+            out[i] = minima.item(r)
+            s = (min_log.item(r) - lx) // width * inv % period
+            shift = (shift + stride * s) % n1
+        return WeightedPoint(tuple(out))
 
     # -- enumeration ------------------------------------------------------------
 
     def point_coords(self, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
         """All canonical points as an (n, m+1) index array, lex ascending.
 
-        The first call enumerates, refusing more than tuple_budget tuples
-        before any work starts; later calls return the cached array.
+        The first call enumerates, refusing before any work starts when the
+        array's p_m (m+1) entries exceed tuple_budget; later calls return
+        the cached array.
         """
         if self._coords is None:
             self._coords = self._enumerate(tuple_budget)
@@ -207,40 +289,28 @@ class WeightedProjectiveSpace:
 
     def _enumerate(self, tuple_budget: int) -> np.ndarray:
         f = self.field
-        q, npos = f.q, len(self.ws)
-        total = q ** npos
-        if total > tuple_budget:
+        npos = len(self.ws)
+        entries = self.expected_point_count * npos
+        if entries > tuple_budget:
             raise BudgetExceeded(
-                f"enumerating P{self.ws.weights} over GF({q}) needs {total} "
-                f"tuples, over the budget of {tuple_budget}")
-        radix = q ** np.arange(npos - 1, -1, -1, dtype=np.int64)
-        bits = 1 << np.arange(npos)
-        chunks = []
-        for start in range(0, total, _CHUNK):
-            keys = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            coords = (keys[:, None] // radix) % q
-            minkeys = keys.copy()
-            if q > 2:
-                patterns = ((coords != 0) * bits).sum(axis=1)
-                for patt in np.unique(patterns):
-                    if patt == 0:
-                        continue
-                    rows = np.nonzero(patterns == patt)[0]
-                    support = tuple(i for i in range(npos) if patt >> i & 1)
-                    gamma = self.scaling_generator(support)
-                    glog = [int(f.log_table[g]) for g in gamma]
-                    cur = coords[rows].copy()
-                    best = minkeys[rows]
-                    logs = {i: f.log_table[cur[:, i]] for i in support}
-                    for k in range(1, q - 1):
-                        for i, gl in zip(support, glog):
-                            logs[i] = (logs[i] + gl) % (q - 1)
-                            cur[:, i] = f.exp_table[logs[i]]
-                        best = np.minimum(best, cur @ radix)
-                    minkeys[rows] = best
-            canon = (minkeys == keys) & (keys != 0)
-            chunks.append(coords[canon])
-        return np.concatenate(chunks, axis=0)
+                f"enumerating P{self.ws.weights} over GF({f.q}) builds "
+                f"{self.expected_point_count} points of {npos} coordinates, "
+                f"{entries} array entries, over the tuple budget of "
+                f"{tuple_budget}")
+        strata = []  # transposed: one row per coordinate
+        for bits in range(1, 1 << npos):
+            support = tuple(i for i in range(npos) if bits >> i & 1)
+            chain = self._chain(support)
+            count = math.prod(link.width for link in chain)
+            block = np.zeros((npos, count), dtype=np.int64)
+            after = count
+            for link in chain:  # M_j varies slowest for j = 0
+                after //= link.width
+                block[link.index].reshape(-1, link.width, after)[:] = \
+                    link.minima[:, None]
+            strata.append(block)
+        coords = np.concatenate(strata, axis=1)
+        return coords[:, np.lexsort(coords[::-1])].T.copy()
 
     def stratum_sizes(self) -> list[int]:
         """Point counts of the strata W_i (first nonzero coordinate = i)."""

@@ -10,9 +10,11 @@ position as the tails widen, so a sweep that stops early builds only what it
 used.  Each high part h costs one small product h.V_hi over GF(q)
 (`FiniteField.matmul`); the zero counts of its q^L candidates are then one
 equality compare per point against -h.V_hi.  Only the field's array ops
-touch field elements, so prime and extension fields share the kernel.  Sweeps
-over a big candidate block can fan out over one process pool; the reduction
-is an ordered max, so results and witnesses are identical at any parallelism.
+touch field elements, so prime and extension fields share the kernel.  A
+leading position whose tails times points reach _PARALLEL_MIN (2^28 cells,
+where a second worker began to pay for its pool) fans out over one process
+pool per sweep; the reduction is an ordered max, so results and witnesses
+are identical at any parallelism.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .weighted_poly import WeightedPolynomial, monomial_basis, monomial_values
 
 DEFAULT_CANDIDATE_BUDGET = 10 ** 8
 _BLOCK = 1 << 14
-_PARALLEL_MIN = 1 << 21
+_PARALLEL_MIN = 1 << 28  # cells (tails x points) of a lead worth a pool
 _TABLE_CELLS = 1 << 18
 
 
@@ -183,7 +185,7 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, stop_at=None,
             if 0 < width <= L:
                 T = _extend_table(T, V[k - width], field)
             tail_count = q ** width
-            if jobs > 1 and tail_count >= _PARALLEL_MIN:
+            if jobs > 1 and tail_count * n >= _PARALLEL_MIN:
                 if pool is None:
                     pool = stack.enter_context(
                         concurrent.futures.ProcessPoolExecutor(max_workers=jobs))

@@ -1,0 +1,201 @@
+"""The stabiliser-chain enumeration and canonicalisation against the
+q^(m+1)-tuple scan they replace, plus property tests of the orbit maps."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wprm.finite_field import GF, field_from_spec
+from wprm.verify import _weight_tuples
+from wprm.weighted_space import (BudgetExceeded, WeightedPoint,
+                                 WeightedProjectiveSpace, _strip_char, space)
+
+_CHUNK = 1 << 18
+
+
+class ScanSpace(WeightedProjectiveSpace):
+    """The previous enumeration and canonicalisation, kept verbatim as the
+    reference: scan all q^(m+1) tuples, then q - 2 orbit passes over them."""
+
+    def scaling_generator(self, support: tuple[int, ...]) -> tuple[int, ...]:
+        """Per-coordinate multipliers generating the representative set on a support."""
+        g = math.gcd(*(self.ws[i] for i in support))
+        g = _strip_char(g, self.field.p)
+        f = self.field
+        if f.q == 2:
+            return tuple(1 for _ in support)
+        return tuple(int(f.exp_table[(self.ws[i] // g) % (f.q - 1)])
+                     for i in support)
+
+    def representatives(self, raw) -> list[tuple[int, ...]]:
+        """All GF(q)-rational tuples representing the same point as raw."""
+        raw = tuple(int(c) for c in raw)
+        if not any(raw):
+            raise ValueError("the zero tuple does not represent a point")
+        support = tuple(i for i, c in enumerate(raw) if c)
+        gamma = self.scaling_generator(support)
+        f = self.field
+        out = [raw]
+        cur = list(raw)
+        for _ in range(f.q - 2):
+            for i, gi in zip(support, gamma):
+                cur[i] = f.mul(cur[i], gi)
+            out.append(tuple(cur))
+        return out
+
+    def orbit_size(self, raw) -> int:
+        """Number of distinct rational representative tuples (q - 1)."""
+        return len(set(self.representatives(raw)))
+
+    def canonicalize(self, raw) -> WeightedPoint:
+        """Lexicographically least representative, under the index order."""
+        return WeightedPoint(min(self.representatives(raw)))
+
+    def _enumerate(self, tuple_budget: int) -> np.ndarray:
+        f = self.field
+        q, npos = f.q, len(self.ws)
+        total = q ** npos
+        if total > tuple_budget:
+            raise BudgetExceeded(
+                f"enumerating P{self.ws.weights} over GF({q}) needs {total} "
+                f"tuples, over the budget of {tuple_budget}")
+        radix = q ** np.arange(npos - 1, -1, -1, dtype=np.int64)
+        bits = 1 << np.arange(npos)
+        chunks = []
+        for start in range(0, total, _CHUNK):
+            keys = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+            coords = (keys[:, None] // radix) % q
+            minkeys = keys.copy()
+            if q > 2:
+                patterns = ((coords != 0) * bits).sum(axis=1)
+                for patt in np.unique(patterns):
+                    if patt == 0:
+                        continue
+                    rows = np.nonzero(patterns == patt)[0]
+                    support = tuple(i for i in range(npos) if patt >> i & 1)
+                    gamma = self.scaling_generator(support)
+                    glog = [int(f.log_table[g]) for g in gamma]
+                    cur = coords[rows].copy()
+                    best = minkeys[rows]
+                    logs = {i: f.log_table[cur[:, i]] for i in support}
+                    for k in range(1, q - 1):
+                        for i, gl in zip(support, glog):
+                            logs[i] = (logs[i] + gl) % (q - 1)
+                            cur[:, i] = f.exp_table[logs[i]]
+                        best = np.minimum(best, cur @ radix)
+                    minkeys[rows] = best
+            canon = (minkeys == keys) & (keys != 0)
+            chunks.append(coords[canon])
+        return np.concatenate(chunks, axis=0)
+
+
+# -- enumeration: byte-identical to the scan ----------------------------------------------
+
+
+GRID_FIELDS = (2, 3, 4, 5, 7, 8, 9)  # the suite_point_counts grid
+
+
+def _same_array(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.flags.c_contiguous and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("q", GRID_FIELDS)
+def test_enumeration_matches_scan_on_point_count_grid(q):
+    # every weight system of the grid, the char-divides-weight ones included
+    fq = field_from_spec(str(q))
+    flagged = 0
+    for m in range(1, 4):
+        for ws in _weight_tuples(6, m + 1):
+            got = WeightedProjectiveSpace(ws, fq).point_coords()
+            want = ScanSpace(ws, fq).point_coords()
+            assert _same_array(got, want), (ws, q)
+            flagged += any(a % fq.p == 0 for a in ws)
+    assert flagged > 0 or fq.p > 6  # no weight up to 6 is a multiple of 7
+
+
+@pytest.mark.parametrize("ws,q", [((1, 2, 3), "16"), ((1, 2, 3), "25"),
+                                  ((1, 2, 3), "27"), ((1, 2, 3), "49"),
+                                  ((2, 3, 5), "49")])
+def test_enumeration_matches_scan_on_larger_fields(ws, q):
+    fq = field_from_spec(q)
+    got = WeightedProjectiveSpace(ws, fq).point_coords()
+    assert _same_array(got, ScanSpace(ws, fq).point_coords())
+
+
+def test_budget_counts_the_entries_built():
+    # P(1,2,3)/F7 builds 57 points of 3 coordinates: 171 entries
+    sp = WeightedProjectiveSpace((1, 2, 3), GF(7))
+    with pytest.raises(BudgetExceeded, match="171 array entries"):
+        sp.point_coords(tuple_budget=170)
+    assert sp._coords is None and not sp._chains  # refused before any work
+    assert sp.point_coords(tuple_budget=171).shape == (57, 3)
+
+
+# -- canonicalisation: properties and the scan's scalar reference -------------------------
+
+
+PROPERTY_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]
+
+
+@st.composite
+def spaces_and_tuples(draw):
+    fq = draw(st.sampled_from(PROPERTY_FIELDS))
+    npos = draw(st.integers(1, 4))
+    # weights up to 12 hit multiples of every characteristic drawn
+    ws = draw(st.lists(st.integers(1, 12), min_size=npos, max_size=npos)
+              .filter(lambda w: math.gcd(*w) == 1))
+    raw = draw(st.lists(st.integers(0, fq.q - 1), min_size=npos,
+                        max_size=npos).filter(any))
+    return fq, tuple(ws), tuple(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_and_tuples())
+def test_canonical_point_properties(case):
+    fq, ws, raw = case
+    sp = space(ws, fq)
+    pt = sp.canonicalize(raw)
+    assert sp.canonicalize(pt.coords) == pt
+    reps = sp.representatives(raw)
+    assert raw in reps
+    assert {sp.canonicalize(r) for r in reps} == {pt}
+    assert (sp.point_coords() == pt.coords).all(axis=1).sum() == 1
+    assert sp.orbit_size(raw) == fq.q - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_and_tuples())
+def test_canonicalize_matches_scan(case):
+    fq, ws, raw = case
+    sp, ref = space(ws, fq), ScanSpace(ws, fq)
+    assert sp.canonicalize(raw) == ref.canonicalize(raw)
+    assert sp.representatives(raw) == ref.representatives(raw)
+    assert sp.orbit_size(raw) == ref.orbit_size(raw)
+    support = tuple(i for i, c in enumerate(raw) if c)
+    assert sp.scaling_generator(support) == ref.scaling_generator(support)
+
+
+@pytest.mark.parametrize("spec", ["2^16", "3^10"])
+def test_canonicalize_on_large_fields(spec):
+    fq = field_from_spec(spec)
+    sp = space((1, 2, 3), fq)
+    rng = np.random.default_rng(7)
+    for raw in [tuple(int(x) for x in rng.integers(1, fq.q, 3)), (0, 5, 7),
+                (0, 0, 9)]:
+        pt = sp.canonicalize(raw)
+        assert sp.canonicalize(pt.coords) == pt
+        reps = sp.representatives(raw)
+        assert min(reps) == pt.coords
+        assert len(set(reps)) == sp.orbit_size(raw) == fq.q - 1
+
+
+def test_canonicalize_rejects_non_elements():
+    sp = space((1, 2), GF(3))
+    for raw in [(3, 1), (-1, 1), (1, 1, 1), (1,)]:
+        with pytest.raises(ValueError):
+            sp.canonicalize(raw)
+        with pytest.raises(ValueError):
+            sp.orbit_size(raw)

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from wprm.finite_field import (FIELD_SIZE_CAP, GF, FiniteField,
-                               field_from_spec, is_prime, prime_factors)
+                               _is_irreducible, field_from_spec, is_prime,
+                               prime_factors)
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (19, 1), (61, 1),
           (2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]
@@ -29,6 +32,25 @@ def test_construction_errors():
     with pytest.raises(ValueError):
         FiniteField(2, 17)  # 2^17 over the cap
     assert GF(2, 16).q == FIELD_SIZE_CAP
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 16)])
+def test_tables_match_scalar_loop(p, e):
+    # the doubling build against g^k by repeated table-free products, and
+    # the reduction polynomial against a scan that skips no tail
+    f = GF(p, e)
+    want = np.empty(f.q - 1, dtype=np.int64)
+    acc = 1
+    for i in range(f.q - 1):
+        want[i] = acc
+        acc = f._mul_slow(acc, f.generator)
+    assert f.exp_table.dtype == np.int64
+    assert np.array_equal(f.exp_table, want)
+    assert np.array_equal(f.log_table[want], np.arange(f.q - 1))
+    assert f.log_table[0] == -1
+    assert f.reduction_poly == next(
+        t for t in itertools.product(range(p), repeat=e)
+        if _is_irreducible(t, e, p))
 
 
 def test_canonical_reduction_polys():

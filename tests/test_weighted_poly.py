@@ -36,6 +36,22 @@ def test_basis_examples():
     assert monomial_basis((2, 3, 5), 0) == [(0, 0, 0)]
 
 
+def test_basis_is_cached_but_never_shared():
+    from wprm.weighted_poly import _monomial_basis
+    want = brute_basis((1, 2, 3), 6)
+    basis = monomial_basis((1, 2, 3), 6)
+    hits = _monomial_basis.cache_info().hits
+    basis.append((9, 9, 9))
+    basis[0] = (0, 0, 0)
+    again = monomial_basis((1, 2, 3), 6)
+    assert _monomial_basis.cache_info().hits == hits + 1
+    assert again == want and again is not basis
+    again.clear()
+    assert monomial_basis((1, 2, 3), 6) == want
+    with pytest.raises(ValueError):
+        monomial_basis((1, 2, 3), -1)
+
+
 def test_dim_closed_forms_against_enumeration():
     for a in range(1, 9):
         for b in range(a, 9):

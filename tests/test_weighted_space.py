@@ -192,15 +192,6 @@ def test_singular_locus():
     assert rep.dimensions == {2: 1}
 
 
-def test_enumeration_is_chunk_independent(monkeypatch):
-    import wprm.weighted_space as wsmod
-    fq = GF(5)
-    reference = space((2, 3, 5), fq).point_coords().copy()
-    monkeypatch.setattr(wsmod, "_CHUNK", 7)
-    sp = wsmod.WeightedProjectiveSpace((2, 3, 5), fq)
-    assert np.array_equal(sp.point_coords(), reference)
-
-
 def test_budget_exceeded():
     sp = WeightedProjectiveSpace((1, 1, 1), GF(7))
     with pytest.raises(BudgetExceeded):
