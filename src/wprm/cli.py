@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import sys
@@ -350,26 +349,36 @@ def cmd_table(cfg: RunConfig, args) -> int:
 # -- verify -----------------------------------------------------------------------------------
 
 
+# The CLI options each suite takes, by keyword argument.  A suite gets a
+# listed option when the command line gives it; --seed always has a value.
+VERIFY_OPTIONS = {
+    "points": ("qs",),
+    "family-counts": ("qs", "seed"),
+    "torus": ("qs", "seed"),
+    "classical-max": ("qs",),
+    "plane-max": ("qs", "max_weight"),
+    "lines": ("qs", "seed"),
+    "bounds": ("seed", "per_bound"),
+    "delorme": ("qs", "max_weight", "seed"),
+    "code-distance": ("qs",),
+}
+
+
 def cmd_verify(cfg: RunConfig, args) -> int:
     names = list(SUITES) if args.suite == "all" else args.suite.split(",")
+    given = {"qs": (tuple(int(x) for x in args.q.split(","))
+                    if args.q else None),
+             "seed": cfg.seed,
+             "per_bound": args.per_bound,
+             "max_weight": args.max_weight}
     rc = 0
     for name in names:
         if name not in SUITES:
             print(f"unknown suite {name!r}; available: {', '.join(SUITES)}",
                   file=sys.stderr)
             return 2
-        fn = SUITES[name]
-        params = inspect.signature(fn).parameters
-        kwargs = {}
-        if args.q and "qs" in params:
-            kwargs["qs"] = tuple(int(x) for x in args.q.split(","))
-        if "seed" in params:
-            kwargs["seed"] = cfg.seed
-        if args.per_bound and "per_bound" in params:
-            kwargs["per_bound"] = args.per_bound
-        if args.max_weight and "max_weight" in params:
-            kwargs["max_weight"] = args.max_weight
-        res = fn(**kwargs)
+        res = SUITES[name](**{opt: given[opt] for opt in VERIFY_OPTIONS[name]
+                              if given[opt] is not None})
         print(res.summary())
         for f in res.failures:
             print(f"  counterexample: {f}")

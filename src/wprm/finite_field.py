@@ -4,10 +4,18 @@ Elements travel as plain integer indices in [0, q).  Index 0 is the additive
 zero and index 1 the multiplicative one; for e > 1 the index encodes the
 coefficient vector of the residue polynomial in base p, constant term in the
 lowest digit, so indices 0..p-1 are exactly the prime subfield.  Products are
-looked up in generator exp/log tables (Zech-style), which also back the
-vectorised numpy paths used by the enumeration and search kernels.  The
-field owns the GF(p) / GF(p^e) split: callers use its array ops and
-`matmul` and never branch on the extension degree themselves.
+looked up in generator exp/log tables (Zech-style).  `exp_table` lists g^k for
+k < q - 1 and `log_table` inverts it, with -1 at index 0.
+
+The array product uses a second pair of tables with a zero sentinel, so that
+it is one add and one gather with no mask: `_zlog` is `log_table` with the log
+of 0 set to 2(q - 1), and `_zexp` is `exp_table` written out twice and then
+padded with zeros to length 4(q - 1) + 1.  Two unit logs sum to less than
+2(q - 1) and land in the doubled table; a sum with any zero operand lands in
+the padding.  On prime fields sums and negations are plain integer
+arithmetic mod p; for e > 1 they work digit by digit in base p.  The field
+owns the GF(p) / GF(p^e) split: callers use its array ops and `matmul` and
+never branch on the extension degree themselves.
 """
 
 from __future__ import annotations
@@ -88,7 +96,7 @@ class FiniteField:
     """Immutable arithmetic context for GF(p^e); safe to share freely."""
 
     __slots__ = ("p", "e", "q", "reduction_poly", "generator",
-                 "exp_table", "log_table")
+                 "exp_table", "log_table", "_zexp", "_zlog")
 
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
@@ -110,6 +118,9 @@ class FiniteField:
         self.log_table = log
         if (exp == 0).any() or np.count_nonzero(log >= 0) != q - 1:
             raise AssertionError("exp table is not a bijection onto the units")
+        self._zlog = np.where(log < 0, 2 * (q - 1), log)
+        self._zexp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        self._zexp[:2 * (q - 1)] = np.tile(exp, 2)
 
     # -- construction helpers ------------------------------------------------
 
@@ -224,6 +235,8 @@ class FiniteField:
     def add_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.e == 1:
+            return (a + b) % self.p
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         pk = 1
         for _ in range(self.e):
@@ -233,6 +246,8 @@ class FiniteField:
 
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
+        if self.e == 1:
+            return (-a) % self.p
         out = np.zeros(a.shape, dtype=np.int64)
         pk = 1
         for _ in range(self.e):
@@ -244,15 +259,9 @@ class FiniteField:
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        if nz.any():
-            out[nz] = self.exp_table[(self.log_table[a[nz]]
-                                      + self.log_table[b[nz]]) % (self.q - 1)]
-        return out
+        zlog = self._zlog
+        return self._zexp[zlog[np.asarray(a, dtype=np.int64)]
+                          + zlog[np.asarray(b, dtype=np.int64)]]
 
     def pow_arr(self, a, n: int) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

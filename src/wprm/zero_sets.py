@@ -483,21 +483,15 @@ def family_zero_count(spec: FamilySpec, ws, q: int) -> int:
 
 @functools.lru_cache(maxsize=1024)
 def _torus_histogram(exponents: tuple, field: FiniteField) -> np.ndarray:
-    # How often each field element is x^exponents on the unit torus (F_q^*)^s.
+    # How often each log k (x^exponents = g^k) occurs on the unit torus
+    # (F_q^*)^s, counted by evaluating the monomial at every torus point.
     units = np.arange(1, field.q, dtype=np.int64)
     torus = np.stack(np.meshgrid(*[units] * len(exponents), indexing="ij"),
                      axis=-1).reshape(-1, len(exponents))
-    out = np.bincount(monomial_values(field, torus, [exponents])[0],
-                      minlength=field.q)
+    values = monomial_values(field, torus, [exponents])[0]
+    out = np.bincount(field.log_table[values], minlength=field.q - 1)
     out.setflags(write=False)  # every caller shares the cached array
     return out
-
-
-def _scaled_histogram(exponents, scale: int, field: FiniteField) -> np.ndarray:
-    # Multiplying by a unit permutes F_q: scale * x^e = y exactly when
-    # x^e = y / scale.
-    hist = _torus_histogram(tuple(int(e) for e in exponents), field)
-    return hist[field.mul_arr(np.arange(field.q), field.inv(scale))]
 
 
 def torus_count(a_exps, b_exps, alpha: int, beta: int,
@@ -509,9 +503,12 @@ def torus_count(a_exps, b_exps, alpha: int, beta: int,
         raise ValueError("each side needs at least one variable")
     if any(e < 1 for e in tuple(a_exps) + tuple(b_exps)):
         raise ValueError("exponents must be positive")
-    cl = _scaled_histogram(a_exps, alpha, field)
-    cr = _scaled_histogram(b_exps, beta, field)
-    return int((cl * cr).sum())
+    ha = _torus_histogram(tuple(int(e) for e in a_exps), field)
+    hb = _torus_histogram(tuple(int(e) for e in b_exps), field)
+    # In logs the equation reads log alpha + k = log beta + l (mod q - 1), so
+    # each k on the left pairs with l = k + log alpha - log beta.
+    shift = int(field.log_table[alpha] - field.log_table[beta])
+    return int(ha @ np.roll(hb, -shift))
 
 
 def torus_closed_form(a_exps, b_exps, q: int) -> int:

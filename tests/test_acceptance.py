@@ -5,6 +5,8 @@ import re
 import time
 from pathlib import Path
 
+import pytest
+
 from wprm.cli import main
 from wprm.codes import comparison_table, lambda_display
 from wprm.finite_field import GF
@@ -12,6 +14,7 @@ from wprm.verify import (suite_bounds, suite_classical_max, suite_delorme,
                          suite_family_counts, suite_plane_max,
                          suite_point_counts, suite_small_code_distance,
                          suite_torus)
+from wprm.weighted_space import WeightedProjectiveSpace
 
 GOLDEN = Path(__file__).parent / "golden" / "f19_table.csv"
 
@@ -36,6 +39,23 @@ def test_criterion_1_point_counts():
     res = suite_point_counts(qs=(2, 3, 4, 5, 7, 8, 9), max_entry=6, max_m=3)
     _finish(1, "point counts match p_m across the weight grid", res,
             time.perf_counter() - t0, 30)
+
+
+@pytest.mark.parametrize("corrupt", ["duplicate", "swap"])
+def test_point_counts_suite_catches_bad_point_lists(monkeypatch, corrupt):
+    # Both corruptions keep the count at p_m: one repeats a point in place of
+    # another, the other breaks the lex order with every point still there.
+    original = WeightedProjectiveSpace.point_coords
+
+    def point_coords(self, *args, **kwargs):
+        coords = original(self, *args, **kwargs).copy()  # the cache stays
+        coords[[0, 1]] = coords[[0, 0] if corrupt == "duplicate" else [1, 0]]
+        return coords
+
+    monkeypatch.setattr(WeightedProjectiveSpace, "point_coords", point_coords)
+    res = suite_point_counts(qs=(3, 4), max_entry=3, max_m=2)
+    assert res.checks > 0 and res.failures
+    assert all("lex ascending=False" in f for f in res.failures)
 
 
 def test_criterion_2_family_counts():

@@ -1,8 +1,13 @@
+import inspect
 import json
 from pathlib import Path
 
+import pytest
+
+import wprm.cli as cli
 from wprm.cli import main
 from wprm.finite_field import GF
+from wprm.verify import SUITES, SuiteResult
 from wprm.weighted_space import projective_count, projective_space, space
 
 GOLDEN = Path(__file__).parent / "golden" / "f19_table.csv"
@@ -144,6 +149,34 @@ def test_verify_unknown_suite(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "nope")
     assert rc == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("argv,given,rc", [
+    (["--per-bound", "7"], {"per_bound": 7}, 0),
+    (["--max-weight", "3", "--q", "2"], {"max_weight": 3, "qs": (2,)}, 0),
+    (["--suite", "torus,nope", "--per-bound", "7"], None, 2),
+])
+def test_verify_passes_each_suite_only_its_options(capsys, monkeypatch,
+                                                   argv, given, rc):
+    # Each suite gets exactly the given options its signature takes, and the
+    # seed; an unknown suite stops the run before any later suite starts.
+    real, calls = dict(SUITES), {}
+    for name in SUITES:
+        def fake(_name=name, **kwargs):
+            calls[_name] = kwargs
+            return SuiteResult(_name)
+        monkeypatch.setitem(cli.SUITES, name, fake)
+    got_rc, _, err = run(capsys, "verify", "--seed", "5", *argv)
+    assert got_rc == rc
+    if given is None:
+        assert list(calls) == ["torus"]
+        assert "unknown suite" in err
+        return
+    assert list(calls) == list(SUITES)
+    for name, kwargs in calls.items():
+        takes = inspect.signature(real[name]).parameters
+        want = {k: v for k, v in {**given, "seed": 5}.items() if k in takes}
+        assert kwargs == want, name
 
 
 def test_bad_arguments(capsys):
