@@ -13,9 +13,10 @@ of 0 set to 2(q - 1), and `_zexp` is `exp_table` written out twice and then
 padded with zeros to length 4(q - 1) + 1.  Two unit logs sum to less than
 2(q - 1) and land in the doubled table; a sum with any zero operand lands in
 the padding.  On prime fields sums and negations are plain integer
-arithmetic mod p; for e > 1 they work digit by digit in base p.  The field
-owns the GF(p) / GF(p^e) split: callers use its array ops and `matmul` and
-never branch on the extension degree themselves.
+arithmetic mod p; for e > 1 sums work digit by digit in base p and a
+negation is the product with -1.  The field owns the GF(p) / GF(p^e)
+split: callers use its array ops and `matmul` and never branch on the
+extension degree themselves.
 """
 
 from __future__ import annotations
@@ -248,12 +249,7 @@ class FiniteField:
         a = np.asarray(a, dtype=np.int64)
         if self.e == 1:
             return (-a) % self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.e):
-            out += (-(a // pk) % self.p) * pk
-            pk *= self.p
-        return out
+        return self.mul_arr(a, self.neg(1))  # -a = (-1) a, one gather
 
     def sub_arr(self, a, b) -> np.ndarray:
         return self.add_arr(a, self.neg_arr(b))

@@ -1,6 +1,10 @@
 """Zero counting for weighted homogeneous polynomials, the product family with
 its closed-form count, the exhaustive max-zeros search, and bound checkers.
 
+The product family mu0 mu1 prod_i (M0 - t_i M1) is built from its l + 1
+coefficients (-1)^j e_j(t) of M0^(l-j) M1^j, one length-(l+1) array update
+per factor, and never as a product of polynomials.
+
 The search sweeps one monomial-value matrix V per (weights, q, d) against
 every coefficient vector with leading coefficient 1, which cuts the sweep to
 (q^k - 1)/(q - 1) scalar classes.  Its kernel splits each vector into a high
@@ -447,19 +451,28 @@ class FamilySpec:
 
 
 def build_family(spec: FamilySpec, ws, field: FiniteField) -> WeightedPolynomial:
-    """Expand mu0 * mu1 * prod (M0 - t_i M1) as a weighted polynomial."""
+    """Expand mu0 * mu1 * prod (M0 - t_i M1) as a weighted polynomial.
+
+    The product is sum_j (-1)^j e_j(t) M0^(l-j) M1^j, so only its l + 1
+    coefficients are computed: c starts as [1, 0, ..., 0] and the factor
+    M0 - t_i M1 updates c[1:i+1] += -t_i * c[:i], one `mul_arr` and one
+    `add_arr` per factor.  Then c[j] is the coefficient of mu0 mu1 M0^(l-j)
+    M1^j; these exponent tuples are distinct because M0 and M1 are
+    nonconstant with disjoint supports.
+    """
     ws = as_weights(ws)
     spec.validate(ws, field)
-    mu = tuple(a + b for a, b in zip(spec.mu0, spec.mu1))
-    out = WeightedPolynomial.monomial(ws, field, mu)
-    pair_deg = spec.pair.degree(ws)
-    for t in spec.t:
-        factor = WeightedPolynomial(ws, field, pair_deg, {
-            spec.pair.m0: 1})
-        factor = factor + WeightedPolynomial(ws, field, pair_deg, {
-            spec.pair.m1: field.neg(t)})
-        out = out * factor
-    return out
+    ell = spec.ell
+    c = np.zeros(ell + 1, dtype=np.int64)
+    c[0] = 1
+    for i, t in enumerate(spec.t, start=1):
+        c[1:i + 1] = field.add_arr(c[1:i + 1],
+                                   field.mul_arr(field.neg(t), c[:i]))
+    mu = [a + b for a, b in zip(spec.mu0, spec.mu1)]
+    terms = {tuple(u + (ell - j) * r0 + j * r1
+                   for u, r0, r1 in zip(mu, spec.pair.m0, spec.pair.m1)): cj
+             for j, cj in enumerate(c.tolist()) if cj}
+    return WeightedPolynomial(ws, field, spec.degree(ws), terms)
 
 
 def family_zero_count(spec: FamilySpec, ws, q: int) -> int:
