@@ -12,11 +12,18 @@ it is one add and one gather with no mask: `_zlog` is `log_table` with the log
 of 0 set to 2(q - 1), and `_zexp` is `exp_table` written out twice and then
 padded with zeros to length 4(q - 1) + 1.  Two unit logs sum to less than
 2(q - 1) and land in the doubled table; a sum with any zero operand lands in
-the padding.  On prime fields sums and negations are plain integer
-arithmetic mod p; for e > 1 sums work digit by digit in base p and a
-negation is the product with -1.  The field owns the GF(p) / GF(p^e)
-split: callers use its array ops and `matmul` and never branch on the
-extension degree themselves.
+the padding.
+
+Sums are gathers too.  Every field with q <= 256 holds a q x q sum table,
+built once next to the product tables, and the array sum is the one gather
+`_sum[a * q + b]`, for prime and extension fields alike.  Above 256 a prime
+field adds as (a + b) mod p, and an extension field adds the rows of a
+base-p digit table (built on first use and shared by the field's copies)
+mod p and reads the index back off in one product with the radix vector.
+A negation is plain integer arithmetic mod p on prime fields and the
+product with -1 (index p - 1) for e > 1.  The field owns the GF(p) /
+GF(p^e) split: callers use its array ops and `matmul` and never branch on
+the extension degree themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import itertools
 import numpy as np
 
 FIELD_SIZE_CAP = 1 << 16
+_SUM_TABLE_MAX_Q = 256  # fields up to this size add through a q x q table
 
 
 def is_prime(n: int) -> bool:
@@ -97,7 +105,7 @@ class FiniteField:
     """Immutable arithmetic context for GF(p^e); safe to share freely."""
 
     __slots__ = ("p", "e", "q", "reduction_poly", "generator",
-                 "exp_table", "log_table", "_zexp", "_zlog")
+                 "exp_table", "log_table", "_zexp", "_zlog", "_sum")
 
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
@@ -122,6 +130,11 @@ class FiniteField:
         self._zlog = np.where(log < 0, 2 * (q - 1), log)
         self._zexp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
         self._zexp[:2 * (q - 1)] = np.tile(exp, 2)
+        self._sum = None
+        if q <= _SUM_TABLE_MAX_Q:
+            # _sum[a * q + b] = a + b: digit sums mod p, read back in base p
+            d = _digits(p, e)
+            self._sum = ((d[:, None] + d[None]) % p @ _radix(p, e)).ravel()
 
     # -- construction helpers ------------------------------------------------
 
@@ -155,8 +168,8 @@ class FiniteField:
         # exp[k] = g^k for k < q - 1, by doubling: exp[k:2k] = g^k exp[0:k].
         # Multiplication by y = g^k is GF(p)-linear on base-p digit vectors;
         # row t of its matrix is the digits of y X^t, and X^t has index p^t.
-        p, e = self.p, self.e
-        radix = p ** np.arange(e, dtype=np.int64)
+        p = self.p
+        radix = _radix(p, self.e)
         exp = np.ones(1, dtype=np.int64)
         while len(exp) < self.q - 1:
             k = len(exp)
@@ -191,20 +204,12 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        out, pk = 0, 1
-        for _ in range(self.e):
-            out += ((a // pk + b // pk) % self.p) * pk
-            pk *= self.p
-        return out
+        return int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        out, pk = 0, 1
-        for _ in range(self.e):
-            out += (-(a // pk) % self.p) * pk
-            pk *= self.p
-        return out
+        return self.mul(a, self.p - 1)  # -1 is the prime-subfield index p - 1
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -234,22 +239,22 @@ class FiniteField:
     # -- vectorised arithmetic on int64 index arrays --------------------------
 
     def add_arr(self, a, b) -> np.ndarray:
+        # a in int64, so that a * q cannot overflow a narrow dtype; a narrow b
+        # is widened element by element as it is added, with no int64 copy
         a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        b = np.asarray(b)
+        if self._sum is not None:
+            return self._sum[a * self.q + b]
         if self.e == 1:
             return (a + b) % self.p
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        pk = 1
-        for _ in range(self.e):
-            out += ((a // pk + b // pk) % self.p) * pk
-            pk *= self.p
-        return out
+        d = _digits(self.p, self.e)
+        return (d[a] + d[b]) % self.p @ _radix(self.p, self.e)
 
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         if self.e == 1:
             return (-a) % self.p
-        return self.mul_arr(a, self.neg(1))  # -a = (-1) a, one gather
+        return self.mul_arr(a, self.p - 1)  # -a = (-1) a, one gather
 
     def sub_arr(self, a, b) -> np.ndarray:
         return self.add_arr(a, self.neg_arr(b))
@@ -315,6 +320,24 @@ class FiniteField:
         if self.e == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.e})"
+
+
+@functools.lru_cache(maxsize=None)
+def _radix(p: int, e: int) -> np.ndarray:
+    out = p ** np.arange(e, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _digits(p: int, e: int) -> np.ndarray:
+    # Row a holds the e base-p digits of index a, constant term first.  uint16
+    # holds the sum of two digits for p < 2^15, which covers every field that
+    # adds through this table: q <= 256, or e > 1 under the size cap.
+    out = (np.arange(p ** e, dtype=np.int64)[:, None] // _radix(p, e)
+           % p).astype(np.uint16)
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

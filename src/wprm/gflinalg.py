@@ -1,9 +1,10 @@
 """Row reduction and rank over GF(q), on int64 index matrices.
 
 One elimination for every field: each pivot step scales the pivot row and
-clears its column from all other rows at once, with the field's array ops and
-its matrix product (the update adds a (rows, 1) x (1, cols) product).
-Matrices at the scales used here (a few hundred rows) are cheap.
+clears its column from all other rows at once with an axpy update through the
+field's array ops, A[other] + (-A[other, c]) * A[r], one `mul_arr` and one
+`add_arr` gather.  Matrices at the scales used here (a few hundred rows) are
+cheap.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ def row_reduce(mat: np.ndarray, field: FiniteField):
         other = np.nonzero(A[:, c])[0]
         other = other[other != r]
         if len(other):
-            A[other, c:] = field.matmul(field.neg_arr(A[other, c:c + 1]),
-                                        A[r:r + 1, c:], A[other, c:])
+            A[other, c:] = field.add_arr(
+                A[other, c:],
+                field.mul_arr(field.neg_arr(A[other, c:c + 1]), A[r, c:]))
         pivots.append(c)
         r += 1
     return A[:r], pivots

@@ -41,6 +41,7 @@ DEFAULT_CANDIDATE_BUDGET = 10 ** 8
 _BLOCK = 1 << 14
 _PARALLEL_MIN = 1 << 28  # cells (tails x points) of a lead worth a pool
 _TABLE_CELLS = 1 << 18
+_GATHER_CELLS = 1 << 16  # int64 cells of one `_extend_table` gather
 
 
 # -- single-polynomial counting -----------------------------------------------------
@@ -100,13 +101,19 @@ def _extend_table(T: np.ndarray, row: np.ndarray,
 
     Column t of T is the codeword of the low part whose base-q digits are t;
     column a*q^w + t of the result is a*row + T[:, t].  The first q^w columns
-    are T again.
+    are T again.  The slices a = 0..q-1 come from one `add_arr` gather of the
+    multiples a*row against T, split into runs of slices only where a gather
+    would pass _GATHER_CELLS, so its int64 temporaries stay bounded.
     """
     n, cols = T.shape
-    out = np.empty((n, field.q, cols), dtype=T.dtype)
-    for a in range(field.q):  # one slice at a time keeps temporaries small
-        out[:, a] = field.add_arr(field.mul_arr(row, a)[:, None], T)
-    return out.reshape(n, field.q * cols)
+    q = field.q
+    multiples = field.mul_arr(row[:, None], np.arange(q))[:, :, None]
+    out = np.empty((n, q, cols), dtype=T.dtype)
+    step = max(1, _GATHER_CELLS // max(n * cols, 1))
+    for a in range(0, q, step):
+        out[:, a:a + step] = field.add_arr(multiples[:, a:a + step],
+                                           T[:, None])
+    return out.reshape(n, q * cols)
 
 
 def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
@@ -373,13 +380,18 @@ class PrimitivePair:
     m0: tuple[int, ...]
     m1: tuple[int, ...]
 
+    @functools.cached_property
+    def supports(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The variables of m0 and of m1, computed once per pair."""
+        return _support(self.m0), _support(self.m1)
+
     @property
     def s0(self) -> int:
-        return len(_support(self.m0))
+        return len(self.supports[0])
 
     @property
     def s1(self) -> int:
-        return len(_support(self.m1))
+        return len(self.supports[1])
 
     def validate(self, ws) -> None:
         ws = as_weights(ws)
@@ -392,7 +404,8 @@ class PrimitivePair:
         d1 = sum(a * r for a, r in zip(ws, self.m1))
         if d0 != d1:
             raise ValueError(f"pair degrees differ: {d0} vs {d1}")
-        if set(_support(self.m0)) & set(_support(self.m1)):
+        sup0, sup1 = self.supports
+        if set(sup0) & set(sup1):
             raise ValueError("pair monomials share a variable")
         exps = [r for r in self.m0 + self.m1 if r]
         if math.gcd(*exps) != 1:
@@ -416,13 +429,18 @@ class FamilySpec:
     def ell(self) -> int:
         return len(self.t)
 
+    @functools.cached_property
+    def mu_supports(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The variables of mu0 and of mu1, computed once per spec."""
+        return _support(self.mu0), _support(self.mu1)
+
     @property
     def sigma0(self) -> int:
-        return len(_support(self.mu0))
+        return len(self.mu_supports[0])
 
     @property
     def sigma1(self) -> int:
-        return len(_support(self.mu1))
+        return len(self.mu_supports[1])
 
     def degree(self, ws) -> int:
         ws = as_weights(ws)
@@ -431,23 +449,33 @@ class FamilySpec:
                 + sum(a * r for a, r in zip(ws, self.mu1)))
 
     def validate(self, ws, field: FiniteField) -> None:
-        ws = as_weights(ws)
-        self.pair.validate(ws)
-        if len(self.t) != len(set(self.t)):
-            raise ValueError("the t_i must be distinct")
-        if any(not 0 < t < field.q for t in self.t):
-            raise ValueError("the t_i must be nonzero field elements")
-        for mu, mono, sigma in ((self.mu0, self.pair.m0, self.sigma0),
-                                (self.mu1, self.pair.m1, self.sigma1)):
-            if len(mu) != len(ws):
-                raise ValueError(f"monomial {mu} has wrong arity")
-            if not set(_support(mu)) <= set(_support(mono)):
-                raise ValueError(
-                    f"mu support {_support(mu)} not inside pair support")
-        if self.ell == 0 and (self.sigma0 != self.pair.s0
-                              or self.sigma1 != self.pair.s1):
-            raise ValueError("with no product factors, each mu_i must touch "
-                             "every variable of its pair monomial")
+        """Raise ValueError unless the spec is valid on P(ws) over field.
+
+        A valid (spec, weights, field) is remembered, so the spec generator
+        and `build_family` together check it once; an invalid one raises on
+        every call.
+        """
+        _validate_family(self, as_weights(ws).weights, field)
+
+
+@functools.lru_cache(maxsize=256)
+def _validate_family(spec: FamilySpec, weights: tuple[int, ...],
+                     field: FiniteField) -> None:
+    spec.pair.validate(weights)
+    if len(spec.t) != len(set(spec.t)):
+        raise ValueError("the t_i must be distinct")
+    if any(not 0 < t < field.q for t in spec.t):
+        raise ValueError("the t_i must be nonzero field elements")
+    for mu, mu_sup, sup in zip((spec.mu0, spec.mu1), spec.mu_supports,
+                               spec.pair.supports):
+        if len(mu) != len(weights):
+            raise ValueError(f"monomial {mu} has wrong arity")
+        if not set(mu_sup) <= set(sup):
+            raise ValueError(f"mu support {mu_sup} not inside pair support")
+    if spec.ell == 0 and (spec.sigma0 != spec.pair.s0
+                          or spec.sigma1 != spec.pair.s1):
+        raise ValueError("with no product factors, each mu_i must touch "
+                         "every variable of its pair monomial")
 
 
 def build_family(spec: FamilySpec, ws, field: FiniteField) -> WeightedPolynomial:
@@ -507,6 +535,19 @@ def _torus_histogram(exponents: tuple, field: FiniteField) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _torus_correlation(a_exps: tuple, b_exps: tuple,
+                       field: FiniteField) -> np.ndarray:
+    # out[s] = sum_k ha[k] hb[(k + s) mod (q - 1)]: the unit-torus solutions
+    # of x^a = g^s y^b for every shift s at once, one linear correlation of
+    # ha against hb written out twice.
+    ha = _torus_histogram(a_exps, field)
+    hb = _torus_histogram(b_exps, field)
+    out = np.correlate(np.concatenate([hb, hb[:-1]]), ha, mode="valid")
+    out.setflags(write=False)  # every caller shares the cached array
+    return out
+
+
 def torus_count(a_exps, b_exps, alpha: int, beta: int,
                 field: FiniteField) -> int:
     """Solutions in the unit torus of alpha x1^a1...xs^as = beta y1^b1...yt^bt."""
@@ -516,12 +557,12 @@ def torus_count(a_exps, b_exps, alpha: int, beta: int,
         raise ValueError("each side needs at least one variable")
     if any(e < 1 for e in tuple(a_exps) + tuple(b_exps)):
         raise ValueError("exponents must be positive")
-    ha = _torus_histogram(tuple(int(e) for e in a_exps), field)
-    hb = _torus_histogram(tuple(int(e) for e in b_exps), field)
+    corr = _torus_correlation(tuple(int(e) for e in a_exps),
+                              tuple(int(e) for e in b_exps), field)
     # In logs the equation reads log alpha + k = log beta + l (mod q - 1), so
     # each k on the left pairs with l = k + log alpha - log beta.
     shift = int(field.log_table[alpha] - field.log_table[beta])
-    return int(ha @ np.roll(hb, -shift))
+    return int(corr[shift % (field.q - 1)])
 
 
 def torus_closed_form(a_exps, b_exps, q: int) -> int:
