@@ -18,8 +18,8 @@ Sums are gathers too.  Every field with q <= 256 holds a q x q sum table,
 built once next to the product tables, and the array sum is the one gather
 `_sum[a * q + b]`, for prime and extension fields alike.  Above 256 a prime
 field adds as (a + b) mod p, and an extension field adds the rows of a
-base-p digit table (built on first use and shared by the field's copies)
-mod p and reads the index back off in one product with the radix vector.
+base-p digit table (built on first use, once per (p, e)) mod p and reads
+the index back off in one product with the radix vector.
 A negation is plain integer arithmetic mod p on prime fields and the
 product with -1 (index p - 1) for e > 1.  The field owns the GF(p) /
 GF(p^e) split: callers use its array ops and `matmul` and never branch on
