@@ -163,6 +163,7 @@ def cmd_eq_search(cfg: RunConfig, args) -> int:
                "defined": result.defined,
                "value": result.value,
                "candidates": result.candidates,
+               "visited": result.visited,
                "witness_polynomial": (format_polynomial(result.witness)
                                       if result.witness else None),
                "lower_bound": max_zeros_lower_bound(ws, cfg.degree, fq.q),
@@ -175,8 +176,8 @@ def cmd_eq_search(cfg: RunConfig, args) -> int:
                   f"{cfg.degree} on P{ws.weights}\n", cfg.out)
         else:
             _emit(f"max zeros = {result.value} over {result.candidates} "
-                  f"candidate classes on P{ws.weights}(F_{fq.q}), degree "
-                  f"{cfg.degree}\nwitness: "
+                  f"candidate classes ({result.visited} tails visited) on "
+                  f"P{ws.weights}(F_{fq.q}), degree {cfg.degree}\nwitness: "
                   f"{format_polynomial(result.witness)}\n"
                   f"lower bound: {payload['lower_bound']}\n", cfg.out)
     return 0

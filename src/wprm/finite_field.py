@@ -204,6 +204,8 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
+        if self._sum is not None:
+            return self._sum.item(a * self.q + b)
         return int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:

@@ -15,18 +15,22 @@ point of P(2,3) over F_3 (lambda a square root of 2) although no unit scaling
 connects them.  Canonical representative of a point: the lexicographically
 smallest tuple of its class under the index order.
 
-In the log domain the scaling by k adds k c_i to log x_i, with c_i the log of
-coordinate i's multiplier, so the lex-min tuple is found one coordinate of S
-at a time (the stabiliser chain).  The least value of x_{i_0} over its orbit
-fixes k up to the stabiliser of that value, the shifts in L_1 Z; the least
-value of x_{i_1} over that stabiliser fixes k up to L_2 Z; and so on down S.
-Under the shifts L_j Z the log of x_{i_j} moves through one coset of g_j Z in
-Z/(q-1), with g_j = gcd(L_j c_{i_j}, q - 1), and L_{j+1} = L_j (q-1)/g_j.
-None of this depends on the values, only on S and the weights, so the
-canonical tuples on S are exactly the Cartesian product of the sets M_j of
-least units of the g_j cosets.  Enumeration builds that product stratum by
-stratum, in work and memory proportional to the p_m points;
-canonicalisation walks the chain with one table lookup per coordinate.
+In the log domain a group of coordinate-wise scalings acts on the logs of the
+coordinates by adding the integer combinations of some generator rows modulo
+q - 1, so the lex-min tuple is found one coordinate at a time (the
+stabiliser chain, `stabiliser_chain`).  Under the group still free, the log
+of coordinate j moves through one coset of g_j Z in Z/(q-1), with g_j the gcd
+of column j of the generators and q - 1; the least value over that coset
+fixes the group up to the stabiliser of coordinate j, whose generators one
+echelon step mod q - 1 gives, and the next coordinate moves under that.
+None of this depends on the values, only on the generators, so the canonical
+tuples are exactly the Cartesian product of the sets M_j of least units of
+the g_j cosets.  For points the group is the scalings above, one generator
+row on each support S; enumeration builds that product stratum by stratum,
+in work and memory proportional to the p_m points, and canonicalisation
+walks the chain with one table lookup per coordinate.  The exhaustive
+max-zeros sweep (`zero_sets`) builds its chains with the same builder, from
+the torus characters of the coefficients it normalises.
 """
 
 from __future__ import annotations
@@ -150,16 +154,53 @@ def _coset_minima(field: FiniteField, width: int):
 
 
 class _Link(NamedTuple):
-    """One coordinate of a support's stabiliser chain."""
+    """One column of a stabiliser chain."""
 
-    index: int      # the coordinate
-    step: int       # log of its scaling multiplier
-    stride: int     # the shifts left free are stride Z (mod q - 1)
-    width: int      # they move log x through one coset of width Z
-    period: int     # (q - 1) / width, the orbit of x under them
-    inv: int        # inverse of stride step / width modulo period
-    min_log: np.ndarray  # log of the least unit of each coset
-    minima: np.ndarray   # those least units: the set M_j
+    width: int               # the group left moves the log in cosets of width Z
+    move: tuple[int, ...]    # an element adding width to it, a shift per column
+    min_log: np.ndarray      # log of the least unit of each coset
+    minima: np.ndarray       # those least units: the set M_j
+
+
+@functools.lru_cache(maxsize=1024)
+def stabiliser_chain(gens: tuple[tuple[int, ...], ...],
+                     field: FiniteField) -> tuple[_Link, ...]:
+    """The stabiliser chain of the group that the rows of gens generate.
+
+    Row r adds gens[r][j] (mod q - 1) to the log of coordinate j, one column
+    per coordinate in chain order.  Link j belongs to the group left once
+    coordinates 0..j-1 are fixed: it moves the log of coordinate j through a
+    coset of width Z, width the gcd of column j and q - 1, and `move` is one
+    of its elements that adds width.  Each step is one echelon step mod
+    q - 1: Euclid's row operations on column j leave one pivot row p with
+    entry e, and the rows left for the next column are the others (zero
+    there) and (q - 1)/gcd(e, q - 1) p.  The field fixes q - 1 and the order
+    the least units are taken in.
+    """
+    n1 = field.q - 1
+    rows = [r for r in ([x % n1 for x in row] for row in gens) if any(r)]
+    ncols = len(gens[0]) if gens else 0
+    links = []
+    for j in range(ncols):
+        live = [r for r in rows if r[j]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: r[j])
+            for r in live:
+                if r is not pivot:
+                    f = r[j] // pivot[j]
+                    r[j:] = [(x - f * y) % n1 for x, y in zip(r[j:], pivot[j:])]
+            live = [r for r in live if r[j]]
+        if live:
+            (pivot,) = live
+            width = math.gcd(pivot[j], n1)
+            y = pow(pivot[j] // width, -1, n1 // width)
+            move = tuple(y * x % n1 for x in pivot)
+            pivot[:] = [n1 // width * x % n1 for x in pivot]
+            rows = [r for r in rows if any(r)]
+        else:
+            width, move = n1, (0,) * ncols
+        links.append(_Link(width, move, *_coset_minima(field, width)))
+    return tuple(links)
 
 
 class WeightedProjectiveSpace:
@@ -170,6 +211,8 @@ class WeightedProjectiveSpace:
         self.field = field
         self._coords = None
         self._points = None
+        # support -> its chain from `stabiliser_chain`, so that a canonical
+        # point costs one dict lookup and no key hashing
         self._chains: dict[tuple[int, ...], tuple[_Link, ...]] = {}
 
     @property
@@ -203,20 +246,11 @@ class WeightedProjectiveSpace:
         return tuple(int(exp[c]) for c in self._scaling_logs(support))
 
     def _chain(self, support: tuple[int, ...]) -> tuple[_Link, ...]:
-        """The stabiliser chain of a support, built once per space."""
+        """The stabiliser chain of a support: one generator, the scalings."""
         chain = self._chains.get(support)
         if chain is None:
-            n1 = self.q - 1
-            links, stride = [], 1
-            for i, c in zip(support, self._scaling_logs(support)):
-                u = stride * c % n1
-                width = math.gcd(u, n1)
-                period = n1 // width
-                links.append(_Link(i, c, stride, width, period,
-                                   pow(u // width, -1, period),
-                                   *_coset_minima(self.field, width)))
-                stride *= period
-            chain = self._chains[support] = tuple(links)
+            chain = self._chains[support] = stabiliser_chain(
+                (tuple(self._scaling_logs(support)),), self.field)
         return chain
 
     def _checked(self, raw) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -258,14 +292,15 @@ class WeightedProjectiveSpace:
         f = self.field
         log, n1 = f.log_table, f.q - 1
         out = list(raw)
-        shift = 0  # log of the scaling chosen so far
-        for i, step, stride, width, period, inv, min_log, minima in \
-                self._chain(support):
-            lx = (log.item(raw[i]) + shift * step) % n1
+        shift = [0] * len(support)  # log added to each coordinate so far
+        for j, (i, (width, move, min_log, minima)) in enumerate(
+                zip(support, self._chain(support))):
+            lx = (log.item(raw[i]) + shift[j]) % n1
             r = lx % width
             out[i] = minima.item(r)
-            s = (min_log.item(r) - lx) // width * inv % period
-            shift = (shift + stride * s) % n1
+            s = (min_log.item(r) - lx) // width
+            if s:
+                shift = [a + s * b for a, b in zip(shift, move)]
         return WeightedPoint(tuple(out))
 
     # -- enumeration ------------------------------------------------------------
@@ -304,9 +339,9 @@ class WeightedProjectiveSpace:
             count = math.prod(link.width for link in chain)
             block = np.zeros((npos, count), dtype=np.int64)
             after = count
-            for link in chain:  # M_j varies slowest for j = 0
+            for i, link in zip(support, chain):  # M_j varies slowest for j = 0
                 after //= link.width
-                block[link.index].reshape(-1, link.width, after)[:] = \
+                block[i].reshape(-1, link.width, after)[:] = \
                     link.minima[:, None]
             strata.append(block)
         coords = np.concatenate(strata, axis=1)

@@ -14,11 +14,28 @@ position as the tails widen, so a sweep that stops early builds only what it
 used.  Each high part h costs one small product h.V_hi over GF(q)
 (`FiniteField.matmul`); the zero counts of its q^L candidates are then one
 equality compare per point against -h.V_hi.  Only the field's array ops
-touch field elements, so prime and extension fields share the kernel.  A
-leading position whose tails times points reach _PARALLEL_MIN (2^28 cells,
-where a second worker began to pay for its pool) fans out over one process
-pool per sweep; the reduction is an ordered max, so results and witnesses
-are identical at any parallelism.
+touch field elements, so prime and extension fields share the kernel.
+
+The zero count is also invariant under the torus (F_q^*)^(m+1), which maps
+the coefficient c_j of monomial beta_j to t^(beta_j - alpha_lead) c_j once the
+leading coefficient is scaled back to 1.  When the sweep knows the basis
+exponents, it visits for each leading position only the high parts that are
+lex-least in their torus orbit: per support of the high digits, the
+characters beta_j - alpha_lead restricted to it generate a stabiliser chain
+(`weighted_space.stabiliser_chain`, the builder point enumeration uses), and
+the canonical high parts are the Cartesian product of its coset minima.  The
+low table stays complete, so every orbit of full tails keeps a visited
+member, and the first maximiser in (lead, tail) order is lex-least in its
+orbit, so it is visited: values, witnesses and tie-breaks are those of the
+plain sweep.  Over GF(2), for a leading position with no high digit, and
+for sweeps without exponents (code distances), every tail is visited.  The
+budget bounds the visited tails, counted from the chain widths before the
+sweep starts.
+
+A leading position whose visited tails times points reach _PARALLEL_MIN
+(2^28 cells, where a second worker began to pay for its pool) fans out over
+one process pool per sweep; the reduction is an ordered max, so results and
+witnesses are identical at any parallelism.
 """
 
 from __future__ import annotations
@@ -29,17 +46,18 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .finite_field import FiniteField
 from .weighted_space import (BudgetExceeded, WeightedProjectiveSpace, as_weights,
-                             projective_count, space)
+                             projective_count, space, stabiliser_chain)
 from .weighted_poly import WeightedPolynomial, monomial_basis, monomial_values
 
 DEFAULT_CANDIDATE_BUDGET = 10 ** 8
 _BLOCK = 1 << 14
-_PARALLEL_MIN = 1 << 28  # cells (tails x points) of a lead worth a pool
+_PARALLEL_MIN = 1 << 28  # cells (visited tails x points) of a lead worth a pool
 _TABLE_CELLS = 1 << 18
 _GATHER_CELLS = 1 << 16  # int64 cells of one `_extend_table` gather
 
@@ -117,8 +135,8 @@ def _extend_table(T: np.ndarray, row: np.ndarray,
 
 
 def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
-                     lead: int, lo: int, hi: int, stop_at,
-                     block: int) -> tuple[int, int]:
+                     lead: int, lo: int, hi: int, stop_at, block: int,
+                     highs: np.ndarray | None = None) -> tuple[int, int]:
     """Best zero count over tails [lo, hi) for a fixed leading position.
 
     Tails enumerate the free coefficients after the leading 1 in ascending
@@ -128,7 +146,8 @@ def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
     part, whose codeword is a column of the low table T; the leading 1 and the
     other digits are its high part h.  The tail vanishes at a point exactly
     where that column equals -h.V_hi, so one compare per point counts the
-    zeros of every low part of h at once.
+    zeros of every low part of h at once.  With highs, a sorted array of high
+    parts, only the tails whose high part is in it are scanned.
     """
     k, n = V.shape
     q = field.q
@@ -140,23 +159,33 @@ def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
     powers = q ** np.arange(width - low - 1, -1, -1, dtype=np.int64)
     per = max(1, block // cols)  # high parts per block
     counts = np.min_scalar_type(n)  # summing in a narrow dtype is faster
-    h_end = -(-hi // cols) if lo < hi else 0
+    h_lo = lo // cols
+    h_hi = -(-hi // cols) if lo < hi else h_lo
+    if highs is None:
+        blocks = (np.arange(a, min(a + per, h_hi), dtype=np.int64)
+                  for a in range(h_lo, h_hi, per))
+    else:
+        a, b = (int(i) for i in np.searchsorted(highs, (h_lo, h_hi)))
+        blocks = (highs[i:min(i + per, b)] for i in range(a, b, per))
     best, best_tail = -1, -1
-    for h0 in range(lo // cols, h_end, per):
-        h = np.arange(h0, min(h0 + per, h_end), dtype=np.int64)
+    for h in blocks:
         H = np.ones((len(h), width - low + 1), dtype=np.int64)
         H[:, 1:] = (h[:, None] // powers) % q  # the high digits
         W = field.neg_arr(field.matmul(H, V_hi)).astype(T.dtype)
         z = (Tw[None] == W[:, :, None]).sum(axis=1, dtype=counts).ravel()
-        base = h0 * cols  # the tail of z[0]
-        first = max(lo, base)
-        z = z[first - base:min(hi, base + len(z)) - base]
+        # z[c] is tail h[c // cols] cols + c % cols; only the first high part
+        # can start before lo and only the last can end after hi.
+        first = max(0, lo - int(h[0]) * cols)
+        z = z[first:len(z) - max(0, (int(h[-1]) + 1) * cols - hi)]
         i = int(np.argmax(z))
         if z[i] > best:
-            if stop_at is not None and z[i] >= stop_at:
+            stop = stop_at is not None and z[i] >= stop_at
+            if stop:
                 i = int(np.argmax(z >= stop_at))
-                return int(z[i]), first + i
-            best, best_tail = int(z[i]), first + i
+            c = first + i
+            best, best_tail = int(z[i]), int(h[c // cols]) * cols + c % cols
+            if stop:
+                break
     return best, best_tail
 
 
@@ -169,24 +198,123 @@ def _resolve_jobs(jobs) -> int:
     return os.cpu_count() or 1
 
 
-def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, stop_at=None,
-                     budget: int = DEFAULT_CANDIDATE_BUDGET,
+class _LeadPlan(NamedTuple):
+    """How a sweep visits the tails of one leading position."""
+
+    cols: int      # low parts per high part
+    hw: int        # high digits after the leading 1
+    chains: tuple | None  # (positions, chain) per high support; None: all
+    visited: int   # tails visited
+
+
+class _SweepPlan(NamedTuple):
+    leads: tuple[_LeadPlan, ...]  # indexed by leading position
+    visited: int
+
+
+def _lead_shape(q: int, k: int, L: int, lead: int) -> tuple[int, int]:
+    # (low parts per high part, high digits) of a leading position
+    width = k - 1 - lead
+    return q ** min(L, width), max(0, width - L)
+
+
+def _torus_rank(q: int, exponents, hw: int) -> int | None:
+    # Generator rows of the torus acting on the high digits; None where the
+    # sweep visits every tail.
+    return None if exponents is None or q == 2 or hw == 0 \
+        else len(exponents[0])
+
+
+def _visited_floor(k: int, L: int, q: int, exponents) -> int:
+    """A lower bound on the tails a sweep visits, from sizes alone.
+
+    An orbit of a torus of rank r has at most (q-1)^r members, so a support
+    of s high digits holds at least max(1, (q-1)^(s-r)) canonical high parts.
+    A sweep over this floor is refused before any chain is built.
+    """
+    out = 0
+    for lead in range(k):
+        cols, hw = _lead_shape(q, k, L, lead)
+        r = _torus_rank(q, exponents, hw)
+        out += cols * (q ** hw if r is None else sum(
+            math.comb(hw, s) * (q - 1) ** max(0, s - r)
+            for s in range(hw + 1)))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _sweep_plan(k: int, L: int, field: FiniteField, exponents) -> _SweepPlan:
+    """The visited tails of every leading position of a sweep with k rows
+    and L low digits, and their total.
+
+    Torus coordinate i adds (beta_j - alpha_lead)_i to log c_j, so on a
+    support of the high digits the generator rows are those character
+    entries, one column per high digit in order.
+    """
+    q, n1 = field.q, field.q - 1
+    leads = []
+    for lead in range(k):
+        cols, hw = _lead_shape(q, k, L, lead)
+        if _torus_rank(q, exponents, hw) is None:
+            leads.append(_LeadPlan(cols, hw, None, cols * q ** hw))
+            continue
+        alpha = exponents[lead]
+        chars = [[(b - a) % n1 for b, a in zip(exponents[lead + 1 + p], alpha)]
+                 for p in range(hw)]
+        chains, count = [], 0
+        for mask in range(1 << hw):
+            positions = tuple(p for p in range(hw) if mask >> p & 1)
+            chain = stabiliser_chain(
+                tuple(zip(*(chars[p] for p in positions))), field)
+            chains.append((positions, chain))
+            count += math.prod(link.width for link in chain)
+        leads.append(_LeadPlan(cols, hw, tuple(chains), cols * count))
+    return _SweepPlan(tuple(leads), sum(lp.visited for lp in leads))
+
+
+def _canonical_highs(plan: _LeadPlan, q: int) -> np.ndarray:
+    """The high parts a lead visits, ascending: per support, the Cartesian
+    product of its links' coset minima, the first digit most significant."""
+    parts = []
+    for positions, chain in plan.chains:
+        h = np.zeros(1, dtype=np.int64)
+        for p, link in zip(positions, chain):
+            h = (h[:, None] + link.minima * q ** (plan.hw - 1 - p)).ravel()
+        parts.append(h)
+    return np.sort(np.concatenate(parts))
+
+
+def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
+                     stop_at=None, budget: int = DEFAULT_CANDIDATE_BUDGET,
                      jobs=None, block: int = _BLOCK):
     """Maximum zero count over all leading-1 coefficient vectors.
 
     Leading positions are scanned from the last basis element backwards, so
     sparse candidates come first; returns (best, (lead, tail), total), with
-    the sweep cut short once the count reaches stop_at.
+    the sweep cut short once the count reaches stop_at.  total counts the
+    scalar classes covered.  With the exponents of the monomials of V's rows,
+    only the tails whose high part is lex-least in its torus orbit are
+    visited (`_sweep_plan`); the result is the same.
     """
     k, n = V.shape
     q = field.q
     total = (q ** k - 1) // (q - 1)  # one leading-1 vector per scalar class
-    if total > budget:
-        raise BudgetExceeded(
-            f"sweep needs {total} candidates, over the budget of {budget}; "
-            f"raise the budget or shrink the instance")
-    jobs = _resolve_jobs(jobs)
     L = _low_width(q, k, n)
+    if exponents is not None:
+        exponents = tuple(tuple(int(x) for x in e) for e in exponents)
+    floor = _visited_floor(k, L, q, exponents)
+    if floor > budget:
+        raise BudgetExceeded(
+            f"sweep covers {total} classes in at least {floor} visited "
+            f"tails, over the budget of {budget}; raise the budget or "
+            f"shrink the instance")
+    plan = _sweep_plan(k, L, field, exponents)
+    if plan.visited > budget:
+        raise BudgetExceeded(
+            f"sweep covers {total} classes in {plan.visited} visited tails, "
+            f"over the budget of {budget}; raise the budget or shrink the "
+            f"instance")
+    jobs = _resolve_jobs(jobs)
     T = np.zeros((n, 1), dtype=np.uint8 if q <= 256 else np.uint16)
     best, best_lead, best_tail = -1, -1, -1
     with contextlib.ExitStack() as stack:
@@ -196,15 +324,17 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, stop_at=None,
             if 0 < width <= L:
                 T = _extend_table(T, V[k - width], field)
             tail_count = q ** width
-            if jobs > 1 and tail_count * n >= _PARALLEL_MIN:
+            lp = plan.leads[lead]
+            highs = None if lp.chains is None else _canonical_highs(lp, q)
+            if jobs > 1 and lp.visited * n >= _PARALLEL_MIN:
                 if pool is None:
                     pool = stack.enter_context(
                         concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
                 b, t = _scan_lead_parallel(pool, field, V, T, lead, tail_count,
-                                           stop_at, block, jobs)
+                                           stop_at, block, jobs, highs)
             else:
                 b, t = _scan_lead_range(field, V, T, lead, 0, tail_count,
-                                        stop_at, block)
+                                        stop_at, block, highs)
             if b > best:
                 best, best_lead, best_tail = b, lead, t
                 if stop_at is not None and best >= stop_at:
@@ -213,16 +343,21 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, stop_at=None,
 
 
 def _scan_lead_parallel(pool, field, V, T, lead, tail_count, stop_at, block,
-                        jobs):
-    # Chunks are cut at multiples of the low parts' count, so no high part
-    # straddles two.
-    cols = min(T.shape[1], field.q ** (V.shape[0] - 1 - lead))
-    step = -(-tail_count // (jobs * 4))
-    step = -(-step // cols) * cols
+                        jobs, highs=None):
+    # Chunks are cut at whole high parts, so no high part straddles two.
+    if highs is None:
+        cols = min(T.shape[1], field.q ** (V.shape[0] - 1 - lead))
+        step = -(-tail_count // (jobs * 4))
+        step = -(-step // cols) * cols
+        chunks = [(lo, min(lo + step, tail_count), None)
+                  for lo in range(0, tail_count, step)]
+    else:
+        step = -(-len(highs) // (jobs * 4))
+        chunks = [(0, tail_count, highs[a:a + step])
+                  for a in range(0, len(highs), step)]
     # The field pickles as GF(p, e), so a worker gets its cached copy.
-    futures = [pool.submit(_scan_lead_range, field, V, T, lead, lo,
-                           min(lo + step, tail_count), stop_at, block)
-               for lo in range(0, tail_count, step)]
+    futures = [pool.submit(_scan_lead_range, field, V, T, lead, lo, hi,
+                           stop_at, block, h) for lo, hi, h in chunks]
     best, best_tail = -1, -1
     try:
         for fut in futures:
@@ -255,12 +390,14 @@ class MaxZerosResult:
     defined: bool
     value: int | None
     witness: WeightedPolynomial | None
-    candidates: int
+    candidates: int  # scalar classes covered, (q^k - 1)/(q - 1)
+    visited: int     # tails the sweep visits, one per torus class of high parts
 
     def __repr__(self):
         if not self.defined:
             return "MaxZerosResult(undefined)"
-        return f"MaxZerosResult(value={self.value}, candidates={self.candidates})"
+        return (f"MaxZerosResult(value={self.value}, "
+                f"candidates={self.candidates}, visited={self.visited})")
 
 
 def max_zeros(ws, field: FiniteField, d: int, *,
@@ -273,21 +410,24 @@ def max_zeros(ws, field: FiniteField, d: int, *,
     ws = as_weights(ws)
     basis = monomial_basis(ws, d)
     if not basis:
-        return MaxZerosResult(False, None, None, 0)
+        return MaxZerosResult(False, None, None, 0, 0)
     sp = space(ws, field)
     V = monomial_matrix(ws, field, d)
-    n = V.shape[1]
+    k, n = V.shape
     best, (lead, tail), total = _max_zeros_sweep(
-        V, field, stop_at=n, budget=budget, jobs=jobs)
+        V, field, exponents=basis, stop_at=n, budget=budget, jobs=jobs)
     witness = None
     if want_witness:
-        coeffs = coeffs_at(field.q, len(basis), lead, tail)
+        coeffs = coeffs_at(field.q, k, lead, tail)
         witness = WeightedPolynomial.from_coefficients(
             ws, field, d, basis, coeffs)
         if count_zeros(witness, sp) != best:
             raise AssertionError(f"witness {witness!r} misses the {best} "
                                  f"zeros the sweep found")
-    return MaxZerosResult(True, best, witness, total)
+    # the sweep's own plan, from the cache
+    visited = _sweep_plan(k, _low_width(field.q, k, n), field,
+                          tuple(basis)).visited
+    return MaxZerosResult(True, best, witness, total, visited)
 
 
 # -- lower bound via products of binary forms ------------------------------------------
@@ -608,6 +748,7 @@ def check_bounds(poly: WeightedPolynomial, sp: WeightedProjectiveSpace, *,
             V = V[:, sp.point_coords()[:, 0] != 0]
         try:
             return _max_zeros_sweep(V, sp.field, stop_at=V.shape[1],
+                                    exponents=monomial_basis(ws, d),
                                     budget=oracle_budget)[0]
         except BudgetExceeded:
             return None
