@@ -6,7 +6,11 @@ basis, columns the canonical point enumeration (for projective points this is
 the "first nonzero coordinate equals 1" convention).  The minimum distance is
 only ever reported as exact when a formula with verified hypotheses or an
 exhaustive enumeration produced it; otherwise an explicit witness codeword
-certifies an upper bound.
+certifies an upper bound.  The exhaustive enumeration is the max-zeros sweep:
+d_min = n - (most zeros of a nonzero codeword).  It visits one codeword per
+torus orbit when the evaluation map is injective, and one per scalar class of
+the row-reduced generator matrix otherwise; its budget bounds the visited
+tails.  The generator matrix is row-reduced once per instance.
 """
 
 from __future__ import annotations
@@ -277,12 +281,24 @@ def min_distance_witness(inst: CodeInstance):
 def min_distance_exhaustive(inst: CodeInstance, *,
                             budget: int = DEFAULT_CANDIDATE_BUDGET,
                             jobs=None) -> int:
-    """Exact minimum Hamming weight by sweeping one codeword per scalar class."""
+    """Exact minimum Hamming weight by sweeping one codeword per scalar class.
+
+    When the evaluation map is injective, the sweep runs on the generator
+    matrix itself with the basis exponents, so it visits one coefficient
+    vector per torus orbit: the torus permutes the points and the column
+    normalisers keep every zero pattern, so the weights are the same.  A
+    rank-deficient code sweeps its reduced row-echelon form, every class.
+    """
     R, _ = inst.rref
     if R.shape[0] == 0:
         raise ValueError("the zero code has no minimum distance")
-    best, _, _ = _max_zeros_sweep(R, inst.field, stop_at=inst.n - 1,
-                                  budget=budget, jobs=jobs)
+    if inst.rank == len(inst.basis):
+        V, exponents = inst.matrix, inst.basis
+    else:
+        V, exponents = R, None
+    best, _, _ = _max_zeros_sweep(V, inst.field, exponents=exponents,
+                                  stop_at=inst.n - 1, budget=budget,
+                                  jobs=jobs)
     return inst.n - best
 
 

@@ -20,6 +20,9 @@ built once next to the product tables, and the array sum is the one gather
 field adds as (a + b) mod p, and an extension field adds the rows of a
 base-p digit table (built on first use, once per (p, e)) mod p and reads
 the index back off in one product with the radix vector.
+Row reduction subtracts multiples of the pivot row through `sub_multiples`:
+one table of multiples, one row gather, and with a sum table the sum taken
+in place on the caller's copy of the rows.
 A negation is plain integer arithmetic mod p on prime fields and the
 product with -1 (index p - 1) for e > 1.  The field owns the GF(p) /
 GF(p^e) split: callers use its array ops and `matmul` and never branch on
@@ -260,6 +263,23 @@ class FiniteField:
 
     def sub_arr(self, a, b) -> np.ndarray:
         return self.add_arr(a, self.neg_arr(b))
+
+    def sub_multiples(self, rows: np.ndarray, coeffs, vec) -> np.ndarray:
+        """rows[i] - coeffs[i] * vec for every i, for an int64 array rows
+        that the caller gives up: it is overwritten as scratch.
+
+        The multiples of -vec are built once, one per field element where
+        the field has a sum table and one per distinct coefficient otherwise,
+        so the table never outgrows rows.  Each row gathers its multiple; with
+        a sum table the sum is then taken in place on rows, one more gather.
+        """
+        neg = self.neg_arr(vec)
+        if self._sum is not None:
+            rows *= self.q
+            rows += self.mul_arr(np.arange(self.q)[:, None], neg)[coeffs]
+            return self._sum[rows]
+        keys, pick = np.unique(coeffs, return_inverse=True)
+        return self.add_arr(rows, self.mul_arr(keys[:, None], neg)[pick])
 
     def mul_arr(self, a, b) -> np.ndarray:
         zlog = self._zlog

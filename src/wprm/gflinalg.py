@@ -1,10 +1,11 @@
 """Row reduction and rank over GF(q), on int64 index matrices.
 
 One elimination for every field: each pivot step scales the pivot row and
-clears its column from all other rows at once with an axpy update through the
-field's array ops, A[other] + (-A[other, c]) * A[r], one `mul_arr` and one
-`add_arr` gather.  Matrices at the scales used here (a few hundred rows) are
-cheap.
+clears its column from all other rows at once.  The multiples of the pivot
+row are built once per step (`FiniteField.sub_multiples`), each other row
+gathers its own, and the sum is one more gather on the rows' own copy,
+whose index arithmetic runs in place.  Matrices at the scales used here (a
+few hundred rows) are cheap.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def row_reduce(mat: np.ndarray, field: FiniteField):
     for c in range(cols):
         if r == rows:
             break
-        idx = np.nonzero(A[r:, c])[0]
+        idx = A[r:, c].nonzero()[0]
         if len(idx) == 0:
             continue
         piv = r + int(idx[0])
@@ -34,12 +35,11 @@ def row_reduce(mat: np.ndarray, field: FiniteField):
         # Rows from r down are zero left of column c, so only columns c..
         # change in this step.
         A[r, c:] = field.mul_arr(A[r, c:], field.inv(int(A[r, c])))
-        other = np.nonzero(A[:, c])[0]
+        other = A[:, c].nonzero()[0]
         other = other[other != r]
         if len(other):
-            A[other, c:] = field.add_arr(
-                A[other, c:],
-                field.mul_arr(field.neg_arr(A[other, c:c + 1]), A[r, c:]))
+            A[other, c:] = field.sub_multiples(A[other, c:], A[other, c],
+                                               A[r, c:])
         pivots.append(c)
         r += 1
     return A[:r], pivots

@@ -281,10 +281,16 @@ class WeightedProjectiveSpace:
         return [tuple(row) for row in self._orbit(raw).tolist()]
 
     def orbit_size(self, raw) -> int:
-        """Number of distinct rational representative tuples (q - 1)."""
+        """Number of distinct rational representative tuples (q - 1).
+
+        Row k of the orbit is raw scaled by g^k, and the scalings fixing raw
+        form a subgroup of the cyclic unit group, so the rows repeat with
+        period the first k > 0 whose row equals row 0 (q - 1 if none does),
+        and that period is the number of distinct rows.
+        """
         reps = self._orbit(raw)
-        reps = reps[np.lexsort(reps.T)]
-        return 1 + int((reps[1:] != reps[:-1]).any(axis=1).sum())
+        back = (reps[1:] == reps[0]).all(axis=1).nonzero()[0]
+        return int(back[0]) + 1 if len(back) else len(reps)
 
     def canonicalize(self, raw) -> WeightedPoint:
         """Lexicographically least representative, under the index order."""

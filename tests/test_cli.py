@@ -184,3 +184,31 @@ def test_bad_arguments(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "points", "--weights", "1,2", "--q", "6")
     assert rc == 2
+
+
+PARSER_SEQUENCE = [
+    ["table", "--q", "5", "--d", "4", "--weights", "1,2,2",
+     "--weights", "1,4,4"],
+    ["points", "--weights", "1,2,3", "--q", "5"],
+    ["table", "--q", "5", "--d", "4", "--weights", "1,2,2"],
+    ["points", "--weights", "1,2,3", "--q", "5", "--format", "csv"],
+    ["code", "--kind", "wprm", "--q", "3", "--d", "2", "--weights", "1,1,2"],
+    ["table", "--q", "5", "--d", "4", "--weights", "1,2,2",
+     "--weights", "1,4,4", "--format", "text"],
+    ["eq-search", "--weights", "1,1,2", "--q", "3", "--d", "2"],
+    ["table"],
+    ["table", "--f19", "--q", "5"],
+]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    shared = [run(capsys, *argv) for argv in PARSER_SEQUENCE]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in PARSER_SEQUENCE]
+    assert shared == fresh
+    # the repeated --weights did not pile up, and each --format default held
+    assert shared[0][1].count("WPRM") == 2 and shared[2][1].count("WPRM") == 1
+    assert shared[0][1].startswith("kind,") and shared[1][1].startswith("(")
+    assert shared[7][1].encode() == GOLDEN.read_bytes()
+    assert shared[8][0] == 2

@@ -1,0 +1,239 @@
+"""Differential tests for the code-parameter layer: `row_reduce` with one
+multiples gather per elimination step, and `min_distance_exhaustive` with one
+sweep per torus orbit for injective codes.  Each is held to the code it
+replaced, kept verbatim here as the reference."""
+
+import math
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import wprm.codes as codes
+from wprm.codes import F19_WEIGHT_SYSTEMS, build_code, min_distance_exhaustive
+from wprm.finite_field import GF, field_from_spec
+from wprm.gflinalg import row_reduce
+from wprm.zero_sets import BudgetExceeded, _max_zeros_sweep
+
+# -- the replaced code, verbatim -------------------------------------------------------
+
+
+def axpy_row_reduce(mat: np.ndarray, field):
+    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
+    A = np.array(mat, dtype=np.int64)
+    if A.ndim != 2:
+        raise ValueError("need a 2-d matrix")
+    rows, cols = A.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        idx = np.nonzero(A[r:, c])[0]
+        if len(idx) == 0:
+            continue
+        piv = r + int(idx[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        # Rows from r down are zero left of column c, so only columns c..
+        # change in this step.
+        A[r, c:] = field.mul_arr(A[r, c:], field.inv(int(A[r, c])))
+        other = np.nonzero(A[:, c])[0]
+        other = other[other != r]
+        if len(other):
+            A[other, c:] = field.add_arr(
+                A[other, c:],
+                field.mul_arr(field.neg_arr(A[other, c:c + 1]), A[r, c:]))
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+def rref_min_distance(inst, *, budget, jobs=None) -> int:
+    """Exact minimum Hamming weight by sweeping one codeword per scalar class."""
+    R, _ = inst.rref
+    if R.shape[0] == 0:
+        raise ValueError("the zero code has no minimum distance")
+    best, _, _ = _max_zeros_sweep(R, inst.field, stop_at=inst.n - 1,
+                                  budget=budget, jobs=jobs)
+    return inst.n - best
+
+
+# -- row_reduce -------------------------------------------------------------------------
+
+
+def assert_same_rref(mat, fq):
+    R, pivots = row_reduce(mat, fq)
+    R0, pivots0 = axpy_row_reduce(mat, fq)
+    assert R.dtype == R0.dtype and R.shape == R0.shape
+    assert R.tobytes() == R0.tobytes()
+    assert pivots == pivots0
+
+
+TABLE_GRID = [("16", 8, [(1, 2, 2), (1, 2, 4), (1, 2, 8), (1, 4, 4)]),
+              ("19", 16, F19_WEIGHT_SYSTEMS),
+              ("25", 16, F19_WEIGHT_SYSTEMS),
+              ("31", 16, F19_WEIGHT_SYSTEMS)]
+
+
+@pytest.mark.parametrize("q,d,systems", TABLE_GRID)
+def test_row_reduce_matches_axpy_on_table_matrices(q, d, systems):
+    fq = field_from_spec(q)
+    insts = [build_code("rm", fq, 2, d), build_code("prm", fq, 2, d)]
+    insts += [build_code("wprm", fq, 2, d, ws) for ws in systems]
+    for inst in insts:
+        assert_same_rref(inst.matrix, fq)
+
+
+def code_grid(qs):
+    """RM and PRM codes on lines and planes and WPRM codes on a few weighted
+    planes and one weighted 3-space, over each field, every degree up to a
+    few multiples of the weights' lcm; rank-deficient codes included."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # d > q: "need not be injective"
+        for q in qs:
+            fq = field_from_spec(str(q))
+            for m in (1, 2):
+                for d in range(0, 2 * q + 1):
+                    out.append(build_code("rm", fq, m, d))
+                    out.append(build_code("prm", fq, m, d))
+            for ws in [(1, 1, 2), (1, 2, 3), (1, 2, 2), (2, 3, 5),
+                       (1, 1, 1, 2)]:
+                step = math.lcm(*ws)
+                for d in range(step, 4 * step + 1, step):
+                    out.append(build_code("wprm", fq, len(ws) - 1, d, ws))
+    return out
+
+
+DEFICIENT_QS = (2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("q", DEFICIENT_QS)
+def test_row_reduce_matches_axpy_on_deficient_code_matrices(q):
+    deficient = [inst for inst in code_grid([q])
+                 if inst.rank < len(inst.basis)]
+    assert deficient
+    for inst in deficient:
+        assert_same_rref(inst.matrix, inst.field)
+
+
+# Every field with a sum table of the sizes the library meets, and two above
+# 256 (a prime field and an extension), which take the bounded multiples.
+RREF_FIELDS = [field_from_spec(str(q)) for q in
+               (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 101)]
+RREF_FIELDS += [GF(257), GF(3, 6)]
+
+
+@st.composite
+def rref_cases(draw):
+    """A matrix of bounded rank, tall or wide, with duplicate rows, zero
+    rows and zero columns drawn on purpose."""
+    fq = draw(st.sampled_from(RREF_FIELDS))
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    rank = draw(st.integers(0, min(rows, cols)))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, fq.q - 1))
+
+    def matrix(r, c):
+        return np.array(draw(st.lists(entry, min_size=r * c, max_size=r * c)),
+                        dtype=np.int64).reshape(r, c)
+
+    mat = fq.matmul(matrix(rows, rank), matrix(rank, cols))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                            st.integers(0, rows - 1)),
+                                  max_size=3)):
+        mat[dst] = mat[src]
+    mat[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0
+    mat[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = 0
+    return fq, mat
+
+
+@settings(max_examples=400, deadline=None)
+@given(rref_cases())
+def test_row_reduce_matches_axpy_on_hypothesis_matrices(case):
+    fq, mat = case
+    assert_same_rref(mat, fq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RREF_FIELDS), st.data())
+def test_sub_multiples_matches_array_ops(fq, data):
+    n = data.draw(st.integers(0, 8))
+    w = data.draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(0, fq.q - 1))
+    rows = np.array(data.draw(st.lists(entry, min_size=n * w,
+                                       max_size=n * w)),
+                    dtype=np.int64).reshape(n, w)
+    coeffs = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)),
+                      dtype=np.int64)
+    vec = np.array(data.draw(st.lists(entry, min_size=w, max_size=w)),
+                   dtype=np.int64)
+    want = fq.sub_arr(rows, fq.mul_arr(coeffs[:, None], vec))
+    got = fq.sub_multiples(rows.copy(), coeffs, vec)
+    assert got.dtype == np.int64 and got.shape == (n, w)
+    assert np.array_equal(got, want)
+
+
+def test_sub_multiples_rejects_non_elements():
+    # Every gather is bounds-checked: a coefficient outside [0, q) raises.
+    fq = GF(5)
+    with pytest.raises(IndexError):
+        fq.sub_multiples(np.zeros((1, 3), dtype=np.int64),
+                         np.array([5]), np.array([1, 2, 3]))
+
+
+# -- min_distance_exhaustive ---------------------------------------------------------------
+
+SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)
+SWEEP_BUDGET = 2 * 10 ** 5
+
+
+@pytest.mark.parametrize("q", SWEEP_QS)
+def test_torus_distance_matches_rref_sweep(q):
+    kinds = {True: 0, False: 0}
+    for inst in code_grid([q]):
+        try:
+            want = rref_min_distance(inst, budget=SWEEP_BUDGET)
+        except BudgetExceeded:
+            continue
+        assert min_distance_exhaustive(inst, budget=SWEEP_BUDGET) == want, inst
+        kinds[inst.rank == len(inst.basis)] += 1
+    # Over GF(8) and GF(9) no deficient code of the grid fits the budget.
+    assert kinds[True] and (q >= 8 or kinds[False])
+
+
+@pytest.mark.parametrize("q", (4, 5))
+def test_torus_distance_fits_where_the_rref_sweep_did_not(q):
+    # The torus sweep visits fewer tails, so it stays inside budgets the
+    # plain sweep overran; the answer is still the plain sweep's.
+    inst = build_code("prm", field_from_spec(str(q)), 2, 3)
+    assert inst.rank == len(inst.basis) == 10
+    with pytest.raises(BudgetExceeded):
+        rref_min_distance(inst, budget=3 * 10 ** 5)
+    assert min_distance_exhaustive(inst, budget=3 * 10 ** 5) \
+        == rref_min_distance(inst, budget=10 ** 7) == (q - 2) * q
+
+
+def test_injective_codes_sweep_the_matrix_with_exponents():
+    seen = []
+    sweep = codes._max_zeros_sweep
+
+    def recording(V, field, **kwargs):
+        seen.append((V, kwargs.get("exponents")))
+        return sweep(V, field, **kwargs)
+
+    injective = build_code("wprm", GF(3), 2, 6, (1, 2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        deficient = build_code("rm", GF(2), 2, 3)
+    assert injective.rank == len(injective.basis)
+    assert deficient.rank < len(deficient.basis)
+    with mock.patch.object(codes, "_max_zeros_sweep", recording):
+        min_distance_exhaustive(injective)
+        min_distance_exhaustive(deficient)
+    (V1, e1), (V2, e2) = seen
+    assert V1 is injective.matrix and e1 == injective.basis
+    assert V2 is deficient.rref[0] and e2 is None

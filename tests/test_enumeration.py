@@ -199,3 +199,50 @@ def test_canonicalize_rejects_non_elements():
             sp.canonicalize(raw)
         with pytest.raises(ValueError):
             sp.orbit_size(raw)
+
+
+# -- orbit_size against the lexsort count it replaced ----------------------------------------
+
+
+def lexsort_orbit_size(sp, raw) -> int:
+    """Number of distinct rational representative tuples (q - 1)."""
+    reps = sp._orbit(raw)
+    reps = reps[np.lexsort(reps.T)]
+    return 1 + int((reps[1:] != reps[:-1]).any(axis=1).sum())
+
+
+# q - 1 = 12, 15 and 3 * 5 * 17 * 257 share factors with the weights drawn
+ORBIT_FIELDS = PROPERTY_FIELDS + [GF(13), GF(2, 4), GF(2, 16)]
+
+
+def _divisors(n: int) -> list[int]:
+    return [a for a in range(1, n + 1) if n % a == 0]
+
+
+@st.composite
+def orbit_cases(draw):
+    fq = draw(st.sampled_from(ORBIT_FIELDS))
+    npos = draw(st.integers(1, 4))
+    weight = st.one_of(st.integers(1, 12),
+                       st.sampled_from(_divisors(fq.q - 1)[:12]))
+    ws = draw(st.lists(weight, min_size=npos, max_size=npos)
+              .filter(lambda w: math.gcd(*w) == 1))
+    entry = st.one_of(st.just(0), st.integers(0, fq.q - 1))
+    raw = draw(st.lists(entry, min_size=npos, max_size=npos).filter(any))
+    period = draw(st.sampled_from(_divisors(fq.q - 1)))
+    return fq, tuple(ws), tuple(raw), period
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_cases())
+def test_orbit_size_matches_lexsort_count(case):
+    fq, ws, raw, period = case
+    sp = space(ws, fq)
+    assert sp.orbit_size(raw) == lexsort_orbit_size(sp, raw) == fq.q - 1
+    # A representative array that repeats with a shorter period, as it would
+    # if a scaling fixed raw: both counts give the period.
+    rows = sp._orbit(raw)
+    tiled = np.tile(rows[:period], ((fq.q - 1) // period, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp, "_orbit", lambda _raw: tiled)
+        assert sp.orbit_size(raw) == lexsort_orbit_size(sp, raw) == period

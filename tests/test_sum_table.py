@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import wprm.zero_sets as zs
 from wprm.codes import F19_WEIGHT_SYSTEMS, build_code
@@ -209,9 +210,9 @@ def table_cases(draw):
     n = draw(st.integers(0, 12))
     cols = draw(st.sampled_from([1, fq.q, fq.q ** 2 if fq.q <= 9 else 1]))
     entry = st.one_of(st.just(0), st.integers(0, fq.q - 1))
-    T = np.array(draw(st.lists(entry, min_size=n * cols,
-                               max_size=n * cols)),
-                 dtype=dtype).reshape(n, cols)
+    # arrays(), not lists(): GF(3^6) draws up to 12 x 729 entries, past the
+    # largest list Hypothesis generates
+    T = draw(hnp.arrays(dtype, (n, cols), elements=entry))
     row = np.array(draw(st.lists(entry, min_size=n, max_size=n)),
                    dtype=np.int64)
     # The gather bound decides how many slices one gather takes: 1 forces
