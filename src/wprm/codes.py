@@ -10,7 +10,9 @@ certifies an upper bound.  The exhaustive enumeration is the max-zeros sweep:
 d_min = n - (most zeros of a nonzero codeword).  It visits one codeword per
 torus orbit when the evaluation map is injective, and one per scalar class of
 the row-reduced generator matrix otherwise; its budget bounds the visited
-tails.  The generator matrix is row-reduced once per instance.
+tails.  The dimension k is the rank of the generator matrix, from forward
+elimination that stops at full row rank; only the sweep of a rank-deficient
+code builds the reduced row-echelon form, once per instance.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ from functools import cached_property
 import numpy as np
 
 from .finite_field import FiniteField
-from .gflinalg import row_reduce
+from .gflinalg import rank as matrix_rank, row_reduce
 from .weighted_space import (BudgetExceeded, WeightedPoint, WeightSystem,
                              as_weights, delorme_normalize, space)
 from .weighted_poly import (AffinePolynomial, WeightedPolynomial,
                             coefficient_vector, monomial_basis,
                             monomial_values)
 from .zero_sets import (DEFAULT_CANDIDATE_BUDGET, _max_zeros_sweep,
-                        lower_bound_witness, min_pair_lcm)
+                        binary_form_coefficients, lower_bound_witness,
+                        min_pair_lcm)
 
 KINDS = ("rm", "prm", "wprm")
 
@@ -110,9 +113,11 @@ class CodeInstance:
         R.setflags(write=False)
         return R, tuple(pivots)
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return self.rref[0].shape[0]
+        """Rank of the generator matrix, computed once per instance without
+        the reduced row-echelon form."""
+        return matrix_rank(self.matrix, self.field)
 
     def __repr__(self):
         tag = f"; {self.ws.weights}" if self.ws is not None else ""
@@ -256,15 +261,10 @@ def min_distance_witness(inst: CodeInstance):
     if inst.kind == "rm":
         if d >= q or d == 0:
             return None
-        coeffs = [1]
-        for c in range(d):
-            nc = f.neg(c)
-            new = [0] * (len(coeffs) + 1)
-            for i, a in enumerate(coeffs):
-                new[i + 1] = f.add(new[i + 1], a)
-                new[i] = f.add(new[i], f.mul(a, nc))
-            coeffs = new
-        terms = {(j,) + (0,) * (m - 1): c for j, c in enumerate(coeffs) if c}
+        # prod_{c < d} (X0 - c): entry j multiplies X0^(d-j).
+        coeffs = binary_form_coefficients([(1, c) for c in range(d)], f)
+        terms = {(d - j,) + (0,) * (m - 1): c
+                 for j, c in enumerate(coeffs) if c}
         poly = AffinePolynomial(f, m, terms)
     else:
         a, _ = min_pair_lcm(inst.ws)
@@ -287,15 +287,15 @@ def min_distance_exhaustive(inst: CodeInstance, *,
     matrix itself with the basis exponents, so it visits one coefficient
     vector per torus orbit: the torus permutes the points and the column
     normalisers keep every zero pattern, so the weights are the same.  A
-    rank-deficient code sweeps its reduced row-echelon form, every class.
+    rank-deficient code sweeps its reduced row-echelon form, every class;
+    only this case builds the echelon form.
     """
-    R, _ = inst.rref
-    if R.shape[0] == 0:
+    if inst.rank == 0:
         raise ValueError("the zero code has no minimum distance")
     if inst.rank == len(inst.basis):
         V, exponents = inst.matrix, inst.basis
     else:
-        V, exponents = R, None
+        V, exponents = inst.rref[0], None
     best, _, _ = _max_zeros_sweep(V, inst.field, exponents=exponents,
                                   stop_at=inst.n - 1, budget=budget,
                                   jobs=jobs)

@@ -3,7 +3,8 @@ its closed-form count, the exhaustive max-zeros search, and bound checkers.
 
 The product family mu0 mu1 prod_i (M0 - t_i M1) is built from its l + 1
 coefficients (-1)^j e_j(t) of M0^(l-j) M1^j, one length-(l+1) array update
-per factor, and never as a product of polynomials.
+per factor, and never as a product of polynomials; so is the lower-bound
+witness prod_i (alpha_i X_r^(a/a_r) - beta_i X_s^(a/a_s)).
 
 The search sweeps one monomial-value matrix V per (weights, q, d) against
 every coefficient vector with leading coefficient 1, which cuts the sweep to
@@ -36,7 +37,8 @@ starts.
 A leading position whose visited tails times points reach _PARALLEL_MIN
 (2^28 cells, where a second worker began to pay for its pool) fans out over
 one process pool per sweep; the reduction is an ordered max, so results and
-witnesses are identical at any parallelism.
+witnesses are identical at any parallelism.  Only such a lead resolves the
+worker count (`jobs`, else WPRM_JOBS, else the CPU count).
 """
 
 from __future__ import annotations
@@ -315,7 +317,6 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
             f"sweep covers {total} classes in {plan.visited} visited tails, "
             f"over the budget of {budget}; raise the budget or shrink the "
             f"instance")
-    jobs = _resolve_jobs(jobs)
     T = np.zeros((n, 1), dtype=np.uint8 if q <= 256 else np.uint16)
     best, best_lead, best_tail = -1, -1, -1
     with contextlib.ExitStack() as stack:
@@ -327,12 +328,16 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
             tail_count = q ** width
             lp = plan.leads[lead]
             highs = None if lp.chains is None else _canonical_highs(lp, q)
-            if jobs > 1 and lp.visited * n >= _PARALLEL_MIN:
+            # Only a lead worth a pool asks how many workers there are.
+            workers = _resolve_jobs(jobs) \
+                if lp.visited * n >= _PARALLEL_MIN else 1
+            if workers > 1:
                 if pool is None:
                     pool = stack.enter_context(
-                        concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+                        concurrent.futures.ProcessPoolExecutor(
+                            max_workers=workers))
                 b, t = _scan_lead_parallel(pool, field, V, T, lead, tail_count,
-                                           stop_at, block, jobs, highs)
+                                           stop_at, block, workers, highs)
             else:
                 b, t = _scan_lead_range(field, V, T, lead, 0, tail_count,
                                         stop_at, block, highs)
@@ -471,7 +476,9 @@ def lower_bound_witness(ws, d: int, field: FiniteField, *,
 
     With t = d/a <= q+1 the construction uses t distinct projective-line
     points and has exactly (d/a) q^{m-1} + p_{m-2} zeros; for larger t it
-    repeats a factor and is space-filling.
+    repeats a factor and is space-filling.  The point (alpha, beta) gives
+    the factor alpha X_r^(a/a_r) - beta X_s^(a/a_s), and the product comes
+    from its t + 1 coefficients (`binary_form_coefficients`).
     """
     ws = as_weights(ws)
     a, best_pair = min_pair_lcm(ws)
@@ -492,18 +499,33 @@ def lower_bound_witness(ws, d: int, field: FiniteField, *,
             raise ValueError("projective line points must be distinct")
     else:
         chosen = pts + [pts[0]] * (t - len(pts))
+    if any(not 0 <= x < field.q for pt in chosen for x in pt):
+        raise ValueError("projective line points must be pairs of field "
+                         "elements")
     er = tuple(a // ws[r] if j == r else 0 for j in range(len(ws)))
     es = tuple(a // ws[s] if j == s else 0 for j in range(len(ws)))
-    out = WeightedPolynomial(ws, field, 0, {(0,) * len(ws): 1})
-    for alpha, beta in chosen:
-        factor = WeightedPolynomial(ws, field, a, {})
-        if alpha:
-            factor = factor + WeightedPolynomial(ws, field, a, {er: alpha})
-        if beta:
-            factor = factor + WeightedPolynomial(ws, field, a,
-                                                 {es: field.neg(beta)})
-        out = out * factor
-    return out
+    coeffs = binary_form_coefficients(chosen, field)
+    terms = {tuple((t - j) * u + j * v for u, v in zip(er, es)): cj
+             for j, cj in enumerate(coeffs) if cj}
+    return WeightedPolynomial(ws, field, d, terms)
+
+
+def binary_form_coefficients(factors, field: FiniteField) -> list[int]:
+    """Coefficients of prod_i (alpha_i M0 - beta_i M1) for field elements
+    (alpha_i, beta_i): entry j multiplies M0^(t-j) M1^j, t = len(factors).
+
+    c starts as [1, 0, ..., 0] and factor i maps c[j] to alpha_i c[j] -
+    beta_i c[j-1] for j <= i: one `mul_arr` and one `add_arr` per factor,
+    and one more `mul_arr` where alpha_i != 1.
+    """
+    c = np.zeros(len(factors) + 1, dtype=np.int64)
+    c[0] = 1
+    for i, (alpha, beta) in enumerate(factors, start=1):
+        shifted = field.mul_arr(field.neg(beta), c[:i])
+        if alpha != 1:
+            c[:i] = field.mul_arr(alpha, c[:i])
+        c[1:i + 1] = field.add_arr(c[1:i + 1], shifted)
+    return c.tolist()
 
 
 # -- the product family and its closed-form count ---------------------------------------
@@ -623,24 +645,18 @@ def build_family(spec: FamilySpec, ws, field: FiniteField) -> WeightedPolynomial
     """Expand mu0 * mu1 * prod (M0 - t_i M1) as a weighted polynomial.
 
     The product is sum_j (-1)^j e_j(t) M0^(l-j) M1^j, so only its l + 1
-    coefficients are computed: c starts as [1, 0, ..., 0] and the factor
-    M0 - t_i M1 updates c[1:i+1] += -t_i * c[:i], one `mul_arr` and one
-    `add_arr` per factor.  Then c[j] is the coefficient of mu0 mu1 M0^(l-j)
-    M1^j; these exponent tuples are distinct because M0 and M1 are
-    nonconstant with disjoint supports.
+    coefficients are computed (`binary_form_coefficients`).  Then c[j] is
+    the coefficient of mu0 mu1 M0^(l-j) M1^j; these exponent tuples are
+    distinct because M0 and M1 are nonconstant with disjoint supports.
     """
     ws = as_weights(ws)
     spec.validate(ws, field)
     ell = spec.ell
-    c = np.zeros(ell + 1, dtype=np.int64)
-    c[0] = 1
-    for i, t in enumerate(spec.t, start=1):
-        c[1:i + 1] = field.add_arr(c[1:i + 1],
-                                   field.mul_arr(field.neg(t), c[:i]))
+    c = binary_form_coefficients([(1, t) for t in spec.t], field)
     mu = [a + b for a, b in zip(spec.mu0, spec.mu1)]
     terms = {tuple(u + (ell - j) * r0 + j * r1
                    for u, r0, r1 in zip(mu, spec.pair.m0, spec.pair.m1)): cj
-             for j, cj in enumerate(c.tolist()) if cj}
+             for j, cj in enumerate(c) if cj}
     return WeightedPolynomial(ws, field, spec.degree(ws), terms)
 
 

@@ -1,7 +1,9 @@
 """Differential tests for the code-parameter layer: `row_reduce` with one
-multiples gather per elimination step, and `min_distance_exhaustive` with one
-sweep per torus orbit for injective codes.  Each is held to the code it
-replaced, kept verbatim here as the reference."""
+multiples gather per elimination step, `rank` by forward elimination on a
+doubling column window, and `min_distance_exhaustive` with one sweep per
+torus orbit for injective codes.  Each is held to the code it replaced, kept
+verbatim here as the reference, and `rank` to the row count of the reduced
+row-echelon form."""
 
 import math
 import warnings
@@ -14,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 import wprm.codes as codes
 from wprm.codes import F19_WEIGHT_SYSTEMS, build_code, min_distance_exhaustive
 from wprm.finite_field import GF, field_from_spec
-from wprm.gflinalg import row_reduce
+from wprm.gflinalg import rank, row_reduce
+from wprm.verify import _reduction_steps
+from wprm.weighted_space import delorme_reduce
 from wprm.zero_sets import BudgetExceeded, _max_zeros_sweep
 
 # -- the replaced code, verbatim -------------------------------------------------------
@@ -85,6 +89,7 @@ def test_row_reduce_matches_axpy_on_table_matrices(q, d, systems):
     insts += [build_code("wprm", fq, 2, d, ws) for ws in systems]
     for inst in insts:
         assert_same_rref(inst.matrix, fq)
+        assert rank(inst.matrix, fq) == row_reduce(inst.matrix, fq)[0].shape[0]
 
 
 def code_grid(qs):
@@ -118,6 +123,31 @@ def test_row_reduce_matches_axpy_on_deficient_code_matrices(q):
     assert deficient
     for inst in deficient:
         assert_same_rref(inst.matrix, inst.field)
+
+
+def delorme_codes():
+    """The WPRM codes of the default delorme verify suite: each reduction
+    step's source in degree lcm * b and its reduction in degree lcm."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # d > q: "need not be injective"
+        for q in (2, 3):
+            fq = field_from_spec(str(q))
+            for source, i, b in _reduction_steps(4, 3):
+                red = delorme_reduce(source, i, b).reduced
+                k = red.lcm
+                out.append(build_code("wprm", fq, red.m, k * b, source))
+                out.append(build_code("wprm", fq, red.m, k, red))
+    return out
+
+
+def test_rank_matches_rref_on_deficient_delorme_codes():
+    deficient = 0
+    for inst in delorme_codes():
+        R, _ = row_reduce(inst.matrix, inst.field)
+        assert rank(inst.matrix, inst.field) == R.shape[0], inst
+        deficient += R.shape[0] < len(inst.basis)
+    assert deficient >= 100
 
 
 # Every field with a sum table of the sizes the library meets, and two above
@@ -156,6 +186,43 @@ def rref_cases(draw):
 def test_row_reduce_matches_axpy_on_hypothesis_matrices(case):
     fq, mat = case
     assert_same_rref(mat, fq)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rref_cases())
+def test_rank_matches_rref_on_hypothesis_matrices(case):
+    fq, mat = case
+    before = mat.copy()
+    assert rank(mat, fq) == row_reduce(mat, fq)[0].shape[0]
+    assert np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("fq", [GF(5), GF(2, 2), GF(257)])
+def test_rank_stops_at_full_row_rank(fq):
+    # Entries outside [0, q) fail every bounds-checked gather, so the
+    # elimination never touches the columns past its window once each row
+    # holds a pivot, nor the row after the last pivot.
+    mat = np.full((3, 20), fq.q, dtype=np.int64)
+    mat[:, :6] = 0
+    mat[0, 1] = mat[1, 3] = mat[2, 4] = 1
+    assert rank(mat, fq) == 3
+    with pytest.raises(IndexError):
+        row_reduce(mat, fq)
+    # A late pivot doubles the window twice (6 -> 12 -> 20 columns).  Row 1
+    # equals row 0, so it has a pivot in column 7 or 13 unless the step that
+    # clears it is replayed on each new window.
+    mat = np.zeros((3, 20), dtype=np.int64)
+    mat[:2, [0, 7, 13]] = 1
+    mat[2, 19] = 2
+    assert rank(mat, fq) == row_reduce(mat, fq)[0].shape[0] == 2
+
+
+def test_rank_of_empty_and_zero_matrices():
+    fq = GF(3)
+    for shape in [(0, 0), (0, 4), (4, 0), (3, 5)]:
+        assert rank(np.zeros(shape, dtype=np.int64), fq) == 0
+    with pytest.raises(ValueError):
+        rank(np.zeros(3, dtype=np.int64), fq)
 
 
 @settings(max_examples=200, deadline=None)

@@ -274,19 +274,38 @@ def test_auto_falls_back_only_on_budget(monkeypatch):
 
 
 def test_code_parameters_row_reduces_once(monkeypatch):
+    # k is the rank from forward elimination; only the sweep of a
+    # rank-deficient code builds the echelon form, and both are cached.
     calls = []
-    row_reduce = codes.row_reduce
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return row_reduce(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(codes, "row_reduce", counting)
-    inst = build_code("wprm", GF(3), 2, 2, (1, 1, 2))
-    params = code_parameters(inst, "both")
-    assert params.k == inst.rank and len(calls) == 1
-    R, pivots = inst.rref
-    assert R.shape[0] == inst.rank and len(pivots) == inst.rank
+    monkeypatch.setattr(codes, "matrix_rank",
+                        counting("rank", codes.matrix_rank))
+    monkeypatch.setattr(codes, "row_reduce",
+                        counting("row_reduce", codes.row_reduce))
+
+    injective = build_code("wprm", GF(3), 2, 2, (1, 1, 2))
+    for _ in range(2):
+        params = code_parameters(injective, "both")
+        assert params.k == injective.rank == len(injective.basis)
+        assert calls == ["rank"]
+
+    calls.clear()
+    with pytest.warns(UserWarning, match="need not be injective"):
+        deficient = build_code("rm", GF(2), 2, 3)
+    for _ in range(2):
+        params = code_parameters(deficient, "exhaustive")
+        assert params.k == deficient.rank < len(deficient.basis)
+        assert calls == ["rank", "row_reduce"]
+
+    R, pivots = deficient.rref
+    assert R.shape[0] == deficient.rank and len(pivots) == deficient.rank
+    assert calls == ["rank", "row_reduce"]
     with pytest.raises(ValueError):
         R[0, 0] = 0  # the echelon form is shared, so it is read-only
 

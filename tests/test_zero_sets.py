@@ -368,6 +368,38 @@ def test_jobs_resolution(monkeypatch):
     assert zs._resolve_jobs(None) >= 1
 
 
+def test_jobs_resolve_only_for_a_lead_worth_a_pool(monkeypatch):
+    # A sweep whose leads all stay below _PARALLEL_MIN never asks for the
+    # CPU count; one that reaches it does, and the answer is the same at
+    # jobs 1 and 2.
+    asked = []
+    cpu_count = os.cpu_count
+
+    def counting_cpu_count():
+        asked.append(1)
+        return cpu_count()
+
+    monkeypatch.delenv("WPRM_JOBS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", counting_cpu_count)
+    fq = GF(3)
+    V = zs.monomial_matrix((1, 1, 2), fq, 4)
+    inst = build_code("prm", fq, 2, 2)
+    serial = (zs._max_zeros_sweep(V, fq), max_zeros((1, 1, 2), fq, 4),
+              min_distance_exhaustive(inst))
+    assert not asked
+    monkeypatch.setattr(zs, "_PARALLEL_MIN", 4)
+    for jobs in (1, 2):
+        got = (zs._max_zeros_sweep(V, fq, jobs=jobs),
+               max_zeros((1, 1, 2), fq, 4, jobs=jobs),
+               min_distance_exhaustive(inst, jobs=jobs))
+        assert got[0] == serial[0] and got[2] == serial[2]
+        assert (got[1].value, got[1].witness) == (serial[1].value,
+                                                  serial[1].witness)
+    assert not asked
+    zs._max_zeros_sweep(V, fq)
+    assert asked
+
+
 def test_coeffs_at_round_trip():
     q, k = 3, 4
     seen = set()
