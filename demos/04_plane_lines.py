@@ -9,6 +9,7 @@ q + 1 points and any two meet, which is what drives the sharp upper bound
 """
 
 import itertools
+import sys
 
 from wprm import (GF, LineSystem, PlaneLine, WeightedPolynomial, count_zeros,
                   format_polynomial, monomial_basis, space)
@@ -19,12 +20,13 @@ ls = LineSystem(sp)
 lines = ls.lines()
 print(f"{sp}: {len(lines)} lines = 1 + q + q^2")
 
-sizes = {len(ls.line_points(l)) for l in lines}
-print("points per line:", sizes, "= {q + 1}")
-
 pts = [ls.line_points(l) for l in lines]
-assert all(a & b for a, b in itertools.combinations(pts, 2))
-print("every pair of lines meets: True")
+sizes = {len(p) for p in pts}
+sizes_ok = sizes == {q + 1}
+print("points per line:", sizes, "= {q + 1}:", sizes_ok)
+
+all_meet = all(a & b for a, b in itertools.combinations(pts, 2))
+print("every pair of lines meets:", all_meet)
 print("all vertical lines pass through", ls.infinity_vertex,
       "; all non-vertical through", ls.vortex)
 
@@ -49,3 +51,6 @@ for alpha in range(t):
     F = F * PlaneLine(1, alpha).polynomial(ls.ws, ls.field)
 print(f"\nproduct of {t} vertical lines: degree {F.degree}, "
       f"{count_zeros(F, sp)} zeros = t*q + 1 = {t * q + 1}")
+
+if not (sizes_ok and all_meet):
+    sys.exit("a line check failed")

@@ -7,12 +7,11 @@ the "first nonzero coordinate equals 1" convention).  The minimum distance is
 only ever reported as exact when a formula with verified hypotheses or an
 exhaustive enumeration produced it; otherwise an explicit witness codeword
 certifies an upper bound.  The exhaustive enumeration is the max-zeros sweep:
-d_min = n - (most zeros of a nonzero codeword).  It visits one codeword per
-torus orbit when the evaluation map is injective, and one per scalar class of
-the row-reduced generator matrix otherwise; its budget bounds the visited
-tails.  The dimension k is the rank of the generator matrix, from forward
-elimination that stops at full row rank; only the sweep of a rank-deficient
-code builds the reduced row-echelon form, once per instance.
+d_min = n - (most zeros of a nonzero codeword).  It sweeps the independent
+rows of the generator matrix with their monomials' exponents, so it visits
+one codeword per torus orbit; its budget bounds the visited tails.  One
+forward elimination per instance, which stops at full row rank, picks those
+rows, and the dimension k is their count.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .finite_field import FiniteField
-from .gflinalg import rank as matrix_rank, row_reduce
+from .gflinalg import row_reduce
 from .weighted_space import (BudgetExceeded, WeightedPoint, WeightSystem,
                              as_weights, delorme_normalize, space)
 from .weighted_poly import (AffinePolynomial, WeightedPolynomial,
@@ -106,18 +105,16 @@ class CodeInstance:
         return self.field.q
 
     @cached_property
-    def rref(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Read-only reduced row-echelon form of the generator matrix, with
-        its pivot columns; computed once per instance."""
-        R, pivots = row_reduce(self.matrix, self.field)
-        R.setflags(write=False)
-        return R, tuple(pivots)
+    def rows(self) -> np.ndarray:
+        """Read-only ascending indices of rows of the generator matrix that
+        are a basis of the code; computed once per instance."""
+        rows, _ = row_reduce(self.matrix, self.field)
+        rows.setflags(write=False)
+        return rows
 
-    @cached_property
+    @property
     def rank(self) -> int:
-        """Rank of the generator matrix, computed once per instance without
-        the reduced row-echelon form."""
-        return matrix_rank(self.matrix, self.field)
+        return len(self.rows)
 
     def __repr__(self):
         tag = f"; {self.ws.weights}" if self.ws is not None else ""
@@ -281,22 +278,19 @@ def min_distance_witness(inst: CodeInstance):
 def min_distance_exhaustive(inst: CodeInstance, *,
                             budget: int = DEFAULT_CANDIDATE_BUDGET,
                             jobs=None) -> int:
-    """Exact minimum Hamming weight by sweeping one codeword per scalar class.
+    """Exact minimum Hamming weight by sweeping one codeword per torus orbit.
 
-    When the evaluation map is injective, the sweep runs on the generator
-    matrix itself with the basis exponents, so it visits one coefficient
-    vector per torus orbit: the torus permutes the points and the column
-    normalisers keep every zero pattern, so the weights are the same.  A
-    rank-deficient code sweeps its reduced row-echelon form, every class;
-    only this case builds the echelon form.
+    The sweep runs on the independent rows of the generator matrix with
+    their exponents.  Each row is one monomial's normalised evaluation, so
+    the torus scales each row by its own character and permutes the points,
+    which keeps every weight; and independent rows make coefficient vectors
+    and codewords correspond one to one.
     """
-    if inst.rank == 0:
+    rows = inst.rows
+    if len(rows) == 0:
         raise ValueError("the zero code has no minimum distance")
-    if inst.rank == len(inst.basis):
-        V, exponents = inst.matrix, inst.basis
-    else:
-        V, exponents = inst.rref[0], None
-    best, _, _ = _max_zeros_sweep(V, inst.field, exponents=exponents,
+    best, _, _ = _max_zeros_sweep(inst.matrix[rows], inst.field,
+                                  exponents=[inst.basis[i] for i in rows],
                                   stop_at=inst.n - 1, budget=budget,
                                   jobs=jobs)
     return inst.n - best

@@ -29,10 +29,9 @@ low table stays complete, so every orbit of full tails keeps a visited
 member, and the first maximiser in (lead, tail) order is lex-least in its
 orbit, so it is visited: values, witnesses and tie-breaks are those of the
 plain sweep.  Over GF(2), for a leading position with no high digit, and
-for sweeps without exponents (the distance of a rank-deficient code, swept
-on its row-reduced generator matrix), every tail is visited.  The budget
-bounds the visited tails, counted from the chain widths before the sweep
-starts.
+for sweeps without exponents (the tests' plain reference), every tail is
+visited.  The budget bounds the visited tails, counted from the chain widths
+before the sweep starts.
 
 A leading position whose visited tails times points reach _PARALLEL_MIN
 (2^28 cells, where a second worker began to pay for its pool) fans out over

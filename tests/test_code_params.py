@@ -1,9 +1,10 @@
-"""Differential tests for the code-parameter layer: `row_reduce` with one
-multiples gather per elimination step, `rank` by forward elimination on a
-doubling column window, and `min_distance_exhaustive` with one sweep per
-torus orbit for injective codes.  Each is held to the code it replaced, kept
-verbatim here as the reference, and `rank` to the row count of the reduced
-row-echelon form."""
+"""Differential tests for the code-parameter layer: `row_reduce`, forward
+elimination with one multiples gather per step on a doubling column window
+that returns a basis of input rows, and `min_distance_exhaustive` with one
+sweep per torus orbit on those rows.  Each is held to the code it replaced,
+kept verbatim here as the reference: the rows must have the reference's
+reduced row-echelon form, and the distance must be the plain sweep's of
+it."""
 
 import math
 import warnings
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import wprm.codes as codes
 from wprm.codes import F19_WEIGHT_SYSTEMS, build_code, min_distance_exhaustive
 from wprm.finite_field import GF, field_from_spec
-from wprm.gflinalg import rank, row_reduce
+from wprm.gflinalg import row_reduce
 from wprm.verify import _reduction_steps
 from wprm.weighted_space import delorme_reduce
 from wprm.zero_sets import BudgetExceeded, _max_zeros_sweep
@@ -57,7 +58,7 @@ def axpy_row_reduce(mat: np.ndarray, field):
 
 def rref_min_distance(inst, *, budget, jobs=None) -> int:
     """Exact minimum Hamming weight by sweeping one codeword per scalar class."""
-    R, _ = inst.rref
+    R, _ = axpy_row_reduce(inst.matrix, inst.field)
     if R.shape[0] == 0:
         raise ValueError("the zero code has no minimum distance")
     best, _, _ = _max_zeros_sweep(R, inst.field, stop_at=inst.n - 1,
@@ -69,9 +70,18 @@ def rref_min_distance(inst, *, budget, jobs=None) -> int:
 
 
 def assert_same_rref(mat, fq):
-    R, pivots = row_reduce(mat, fq)
+    """The rows `row_reduce` picks are independent and span the row space:
+    the reference reduces them to the reduced row-echelon form of the whole
+    matrix, with the pivots `row_reduce` reports."""
+    before = np.array(mat, copy=True)
+    rows, pivots = row_reduce(mat, fq)
+    assert np.array_equal(mat, before)
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+    assert np.all(np.diff(rows) > 0)
     R0, pivots0 = axpy_row_reduce(mat, fq)
-    assert R.dtype == R0.dtype and R.shape == R0.shape
+    R, _ = axpy_row_reduce(np.asarray(mat)[rows], fq)
+    assert R.dtype == R0.dtype and R.shape == R0.shape == (len(rows),
+                                                           R0.shape[1])
     assert R.tobytes() == R0.tobytes()
     assert pivots == pivots0
 
@@ -89,7 +99,7 @@ def test_row_reduce_matches_axpy_on_table_matrices(q, d, systems):
     insts += [build_code("wprm", fq, 2, d, ws) for ws in systems]
     for inst in insts:
         assert_same_rref(inst.matrix, fq)
-        assert rank(inst.matrix, fq) == row_reduce(inst.matrix, fq)[0].shape[0]
+        assert inst.rank == len(inst.basis)  # full row rank: an early stop
 
 
 def code_grid(qs):
@@ -144,8 +154,9 @@ def delorme_codes():
 def test_rank_matches_rref_on_deficient_delorme_codes():
     deficient = 0
     for inst in delorme_codes():
-        R, _ = row_reduce(inst.matrix, inst.field)
-        assert rank(inst.matrix, inst.field) == R.shape[0], inst
+        assert_same_rref(inst.matrix, inst.field)
+        R, _ = axpy_row_reduce(inst.matrix, inst.field)
+        assert inst.rank == R.shape[0], inst
         deficient += R.shape[0] < len(inst.basis)
     assert deficient >= 100
 
@@ -191,10 +202,11 @@ def test_row_reduce_matches_axpy_on_hypothesis_matrices(case):
 @settings(max_examples=400, deadline=None)
 @given(rref_cases())
 def test_rank_matches_rref_on_hypothesis_matrices(case):
+    # Row rank is column rank: the transpose picks as many rows.
     fq, mat = case
-    before = mat.copy()
-    assert rank(mat, fq) == row_reduce(mat, fq)[0].shape[0]
-    assert np.array_equal(mat, before)
+    rank = axpy_row_reduce(mat, fq)[0].shape[0]
+    assert len(row_reduce(mat, fq)[0]) == len(row_reduce(mat.T, fq)[0]) \
+        == rank
 
 
 @pytest.mark.parametrize("fq", [GF(5), GF(2, 2), GF(257)])
@@ -205,24 +217,28 @@ def test_rank_stops_at_full_row_rank(fq):
     mat = np.full((3, 20), fq.q, dtype=np.int64)
     mat[:, :6] = 0
     mat[0, 1] = mat[1, 3] = mat[2, 4] = 1
-    assert rank(mat, fq) == 3
+    rows, pivots = row_reduce(mat, fq)
+    assert rows.tolist() == [0, 1, 2] and pivots == [1, 3, 4]
     with pytest.raises(IndexError):
-        row_reduce(mat, fq)
+        axpy_row_reduce(mat, fq)
     # A late pivot doubles the window twice (6 -> 12 -> 20 columns).  Row 1
     # equals row 0, so it has a pivot in column 7 or 13 unless the step that
     # clears it is replayed on each new window.
     mat = np.zeros((3, 20), dtype=np.int64)
     mat[:2, [0, 7, 13]] = 1
     mat[2, 19] = 2
-    assert rank(mat, fq) == row_reduce(mat, fq)[0].shape[0] == 2
+    rows, pivots = row_reduce(mat, fq)
+    assert len(rows) == 2 and pivots == [0, 19]
+    assert_same_rref(mat, fq)
 
 
 def test_rank_of_empty_and_zero_matrices():
     fq = GF(3)
     for shape in [(0, 0), (0, 4), (4, 0), (3, 5)]:
-        assert rank(np.zeros(shape, dtype=np.int64), fq) == 0
+        rows, pivots = row_reduce(np.zeros(shape, dtype=np.int64), fq)
+        assert rows.dtype == np.int64 and rows.shape == (0,) and pivots == []
     with pytest.raises(ValueError):
-        rank(np.zeros(3, dtype=np.int64), fq)
+        row_reduce(np.zeros(3, dtype=np.int64), fq)
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,7 +284,9 @@ def test_torus_distance_matches_rref_sweep(q):
             continue
         assert min_distance_exhaustive(inst, budget=SWEEP_BUDGET) == want, inst
         kinds[inst.rank == len(inst.basis)] += 1
-    # Over GF(8) and GF(9) no deficient code of the grid fits the budget.
+    # Injective and rank-deficient codes both sweep per torus orbit; over
+    # GF(8) and GF(9) no deficient code of the grid fits the plain sweep's
+    # budget.
     assert kinds[True] and (q >= 8 or kinds[False])
 
 
@@ -284,7 +302,22 @@ def test_torus_distance_fits_where_the_rref_sweep_did_not(q):
         == rref_min_distance(inst, budget=10 ** 7) == (q - 2) * q
 
 
+def test_torus_distance_fits_on_a_deficient_code():
+    # A rank-deficient code sweeps its independent rows per torus orbit, so
+    # it too fits a budget the plain sweep of its echelon form overran.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # d > q: "need not be injective"
+        inst = build_code("prm", GF(3), 2, 4)
+    assert inst.rank == 12 < len(inst.basis) == 15
+    with pytest.raises(BudgetExceeded):
+        rref_min_distance(inst, budget=SWEEP_BUDGET)
+    assert min_distance_exhaustive(inst, budget=SWEEP_BUDGET) \
+        == rref_min_distance(inst, budget=10 ** 6) == 2
+
+
 def test_injective_codes_sweep_the_matrix_with_exponents():
+    # Every code sweeps its independent rows with their exponents: all of
+    # them for an injective code, a basis of the code for a deficient one.
     seen = []
     sweep = codes._max_zeros_sweep
 
@@ -302,5 +335,7 @@ def test_injective_codes_sweep_the_matrix_with_exponents():
         min_distance_exhaustive(injective)
         min_distance_exhaustive(deficient)
     (V1, e1), (V2, e2) = seen
-    assert V1 is injective.matrix and e1 == injective.basis
-    assert V2 is deficient.rref[0] and e2 is None
+    assert np.array_equal(V1, injective.matrix) and e1 == injective.basis
+    rows = deficient.rows
+    assert np.array_equal(V2, deficient.matrix[rows])
+    assert e2 == [deficient.basis[i] for i in rows]

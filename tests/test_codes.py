@@ -274,26 +274,23 @@ def test_auto_falls_back_only_on_budget(monkeypatch):
 
 
 def test_code_parameters_row_reduces_once(monkeypatch):
-    # k is the rank from forward elimination; only the sweep of a
-    # rank-deficient code builds the echelon form, and both are cached.
+    # One elimination per instance picks the independent rows: k is their
+    # count and the sweep runs on them, injective or not; repeat calls
+    # reuse them.
     calls = []
+    row_reduce = codes.row_reduce
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
+    def counting(*args, **kwargs):
+        calls.append("row_reduce")
+        return row_reduce(*args, **kwargs)
 
-    monkeypatch.setattr(codes, "matrix_rank",
-                        counting("rank", codes.matrix_rank))
-    monkeypatch.setattr(codes, "row_reduce",
-                        counting("row_reduce", codes.row_reduce))
+    monkeypatch.setattr(codes, "row_reduce", counting)
 
     injective = build_code("wprm", GF(3), 2, 2, (1, 1, 2))
     for _ in range(2):
         params = code_parameters(injective, "both")
         assert params.k == injective.rank == len(injective.basis)
-        assert calls == ["rank"]
+        assert calls == ["row_reduce"]
 
     calls.clear()
     with pytest.warns(UserWarning, match="need not be injective"):
@@ -301,13 +298,13 @@ def test_code_parameters_row_reduces_once(monkeypatch):
     for _ in range(2):
         params = code_parameters(deficient, "exhaustive")
         assert params.k == deficient.rank < len(deficient.basis)
-        assert calls == ["rank", "row_reduce"]
+        assert calls == ["row_reduce"]
 
-    R, pivots = deficient.rref
-    assert R.shape[0] == deficient.rank and len(pivots) == deficient.rank
-    assert calls == ["rank", "row_reduce"]
+    rows = deficient.rows
+    assert len(rows) == deficient.rank
+    assert calls == ["row_reduce"]
     with pytest.raises(ValueError):
-        R[0, 0] = 0  # the echelon form is shared, so it is read-only
+        rows[0] = 0  # the rows are shared, so they are read-only
 
 
 def test_export_matrix_format():

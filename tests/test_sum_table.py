@@ -1,6 +1,7 @@
 """Differential tests for the one-gather field sum: `add_arr`, scalar
-`add`/`neg`, the axpy `row_reduce` and the one-gather `_extend_table`, each
-held to the code it replaced, kept verbatim here as the reference."""
+`add`/`neg`, the axpy elimination and the one-gather `_extend_table`, each
+held to the code it replaced, kept verbatim here as the reference; the rows
+`row_reduce` picks are held to the replaced RREF of the whole matrix."""
 
 from unittest import mock
 
@@ -154,9 +155,16 @@ TABLE_GRID = [("16", 8, [(1, 2, 2), (1, 2, 4), (1, 2, 8), (1, 4, 4)]),
 
 
 def assert_same_rref(mat, fq):
-    R, pivots = row_reduce(mat, fq)
+    """The rows `row_reduce` picks have the reference's reduced row-echelon
+    form of the whole matrix, with the pivots `row_reduce` reports."""
+    before = np.array(mat, copy=True)
+    rows, pivots = row_reduce(mat, fq)
+    assert np.array_equal(mat, before)
+    assert rows.dtype == np.int64 and np.all(np.diff(rows) > 0)
     R0, pivots0 = matmul_row_reduce(mat, fq)
-    assert R.dtype == R0.dtype and R.shape == R0.shape
+    R, _ = matmul_row_reduce(np.asarray(mat)[rows], fq)
+    assert R.dtype == R0.dtype and R.shape == R0.shape == (len(rows),
+                                                           R0.shape[1])
     assert R.tobytes() == R0.tobytes()
     assert pivots == pivots0
 
