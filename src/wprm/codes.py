@@ -289,10 +289,9 @@ def min_distance_exhaustive(inst: CodeInstance, *,
     rows = inst.rows
     if len(rows) == 0:
         raise ValueError("the zero code has no minimum distance")
-    best, _, _ = _max_zeros_sweep(inst.matrix[rows], inst.field,
-                                  exponents=[inst.basis[i] for i in rows],
-                                  stop_at=inst.n - 1, budget=budget,
-                                  jobs=jobs)
+    best, *_ = _max_zeros_sweep(inst.matrix[rows], inst.field,
+                                exponents=[inst.basis[i] for i in rows],
+                                stop_at=inst.n - 1, budget=budget, jobs=jobs)
     return inst.n - best
 
 

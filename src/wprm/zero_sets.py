@@ -29,9 +29,9 @@ low table stays complete, so every orbit of full tails keeps a visited
 member, and the first maximiser in (lead, tail) order is lex-least in its
 orbit, so it is visited: values, witnesses and tie-breaks are those of the
 plain sweep.  Over GF(2), for a leading position with no high digit, and
-for sweeps without exponents (the tests' plain reference), every tail is
-visited.  The budget bounds the visited tails, counted from the chain widths
-before the sweep starts.
+for sweeps without exponents (the tests' plain reference), the same scan
+runs over all q^hw high parts, so every tail is visited.  The budget bounds
+the visited tails, counted from the chain widths before the sweep starts.
 
 A leading position whose visited tails times points reach _PARALLEL_MIN
 (2^28 cells, where a second worker began to pay for its pool) fans out over
@@ -137,19 +137,19 @@ def _extend_table(T: np.ndarray, row: np.ndarray,
 
 
 def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
-                     lead: int, lo: int, hi: int, stop_at, block: int,
-                     highs: np.ndarray | None = None) -> tuple[int, int]:
-    """Best zero count over tails [lo, hi) for a fixed leading position.
+                     lead: int, highs: np.ndarray, stop_at: int,
+                     block: int) -> tuple[int, int]:
+    """Best zero count over the tails of a leading position whose high parts
+    are in highs, a sorted int64 array.
 
     Tails enumerate the free coefficients after the leading 1 in ascending
-    mixed-radix order.  Returns (best, first tail attaining it) over the tails
-    up to the first one whose count reaches stop_at (over all of them when
-    stop_at is None).  The last w = min(L, width) digits of a tail are its low
-    part, whose codeword is a column of the low table T; the leading 1 and the
-    other digits are its high part h.  The tail vanishes at a point exactly
-    where that column equals -h.V_hi, so one compare per point counts the
-    zeros of every low part of h at once.  With highs, a sorted array of high
-    parts, only the tails whose high part is in it are scanned.
+    mixed-radix order.  Returns (best, first tail attaining it) over the
+    scanned tails up to the first one whose count reaches stop_at.  The last
+    w = min(L, width) digits of a tail are its low part, whose codeword is a
+    column of the low table T; the leading 1 and the other digits are its
+    high part h, and the tail is h * q^w + low.  The tail vanishes at a
+    point exactly where that column equals -h.V_hi, so one compare per point
+    counts the zeros of every low part of h at once.
     """
     k, n = V.shape
     q = field.q
@@ -161,31 +161,20 @@ def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
     powers = q ** np.arange(width - low - 1, -1, -1, dtype=np.int64)
     per = max(1, block // cols)  # high parts per block
     counts = np.min_scalar_type(n)  # summing in a narrow dtype is faster
-    h_lo = lo // cols
-    h_hi = -(-hi // cols) if lo < hi else h_lo
-    if highs is None:
-        blocks = (np.arange(a, min(a + per, h_hi), dtype=np.int64)
-                  for a in range(h_lo, h_hi, per))
-    else:
-        a, b = (int(i) for i in np.searchsorted(highs, (h_lo, h_hi)))
-        blocks = (highs[i:min(i + per, b)] for i in range(a, b, per))
     best, best_tail = -1, -1
-    for h in blocks:
+    for a in range(0, len(highs), per):
+        h = highs[a:a + per]
         H = np.ones((len(h), width - low + 1), dtype=np.int64)
         H[:, 1:] = (h[:, None] // powers) % q  # the high digits
         W = field.neg_arr(field.matmul(H, V_hi)).astype(T.dtype)
+        # z[i] is the count of tail h[i // cols] * cols + i % cols
         z = (Tw[None] == W[:, :, None]).sum(axis=1, dtype=counts).ravel()
-        # z[c] is tail h[c // cols] cols + c % cols; only the first high part
-        # can start before lo and only the last can end after hi.
-        first = max(0, lo - int(h[0]) * cols)
-        z = z[first:len(z) - max(0, (int(h[-1]) + 1) * cols - hi)]
         i = int(np.argmax(z))
         if z[i] > best:
-            stop = stop_at is not None and z[i] >= stop_at
+            stop = z[i] >= stop_at
             if stop:
                 i = int(np.argmax(z >= stop_at))
-            c = first + i
-            best, best_tail = int(z[i]), int(h[c // cols]) * cols + c % cols
+            best, best_tail = int(z[i]), int(h[i // cols]) * cols + i % cols
             if stop:
                 break
     return best, best_tail
@@ -275,8 +264,11 @@ def _sweep_plan(k: int, L: int, field: FiniteField, exponents) -> _SweepPlan:
 
 
 def _canonical_highs(plan: _LeadPlan, q: int) -> np.ndarray:
-    """The high parts a lead visits, ascending: per support, the Cartesian
-    product of its links' coset minima, the first digit most significant."""
+    """The high parts a lead visits, ascending: all q^hw of them for a lead
+    without a torus plan, else per support the Cartesian product of its
+    links' coset minima, the first digit most significant."""
+    if plan.chains is None:
+        return np.arange(q ** plan.hw, dtype=np.int64)
     parts = []
     for positions, chain in plan.chains:
         h = np.zeros(1, dtype=np.int64)
@@ -292,15 +284,20 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
     """Maximum zero count over all leading-1 coefficient vectors.
 
     Leading positions are scanned from the last basis element backwards, so
-    sparse candidates come first; returns (best, (lead, tail), total), with
-    the sweep cut short once the count reaches stop_at.  total counts the
-    scalar classes covered.  With the exponents of the monomials of V's rows,
-    only the tails whose high part is lex-least in its torus orbit are
-    visited (`_sweep_plan`); the result is the same.
+    sparse candidates come first; returns (best, (lead, tail), total,
+    visited), with the sweep cut short once the count reaches stop_at (n
+    when None: no count exceeds n, so the first tail with n zeros is the
+    first maximiser).  total counts the scalar classes covered and visited
+    the tails of the plan, however early the sweep stops.  Every lead scans
+    the sorted array of its high parts (`_canonical_highs`): with the
+    exponents of the monomials of V's rows, only the high parts lex-least
+    in their torus orbit (`_sweep_plan`), else all of them; the result is
+    the same.
     """
     k, n = V.shape
     q = field.q
     total = (q ** k - 1) // (q - 1)  # one leading-1 vector per scalar class
+    stop_at = n if stop_at is None else stop_at
     L = _low_width(q, k, n)
     if exponents is not None:
         exponents = tuple(tuple(int(x) for x in e) for e in exponents)
@@ -324,9 +321,8 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
             width = k - 1 - lead
             if 0 < width <= L:
                 T = _extend_table(T, V[k - width], field)
-            tail_count = q ** width
             lp = plan.leads[lead]
-            highs = None if lp.chains is None else _canonical_highs(lp, q)
+            highs = _canonical_highs(lp, q)
             # Only a lead worth a pool asks how many workers there are.
             workers = _resolve_jobs(jobs) \
                 if lp.visited * n >= _PARALLEL_MIN else 1
@@ -335,41 +331,32 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
                     pool = stack.enter_context(
                         concurrent.futures.ProcessPoolExecutor(
                             max_workers=workers))
-                b, t = _scan_lead_parallel(pool, field, V, T, lead, tail_count,
-                                           stop_at, block, workers, highs)
+                b, t = _scan_lead_parallel(pool, field, V, T, lead, highs,
+                                           stop_at, block, workers)
             else:
-                b, t = _scan_lead_range(field, V, T, lead, 0, tail_count,
-                                        stop_at, block, highs)
+                b, t = _scan_lead_range(field, V, T, lead, highs, stop_at,
+                                        block)
             if b > best:
                 best, best_lead, best_tail = b, lead, t
-                if stop_at is not None and best >= stop_at:
+                if best >= stop_at:
                     break
-    return best, (best_lead, best_tail), total
+    return best, (best_lead, best_tail), total, plan.visited
 
 
-def _scan_lead_parallel(pool, field, V, T, lead, tail_count, stop_at, block,
-                        jobs, highs=None):
-    # Chunks are cut at whole high parts, so no high part straddles two.
-    if highs is None:
-        cols = min(T.shape[1], field.q ** (V.shape[0] - 1 - lead))
-        step = -(-tail_count // (jobs * 4))
-        step = -(-step // cols) * cols
-        chunks = [(lo, min(lo + step, tail_count), None)
-                  for lo in range(0, tail_count, step)]
-    else:
-        step = -(-len(highs) // (jobs * 4))
-        chunks = [(0, tail_count, highs[a:a + step])
-                  for a in range(0, len(highs), step)]
+def _scan_lead_parallel(pool, field, V, T, lead, highs, stop_at, block, jobs):
+    # jobs * 4 consecutive slices of the high parts, reduced in order.
+    step = -(-len(highs) // (jobs * 4))
     # The field pickles as GF(p, e), so a worker gets its cached copy.
-    futures = [pool.submit(_scan_lead_range, field, V, T, lead, lo, hi,
-                           stop_at, block, h) for lo, hi, h in chunks]
+    futures = [pool.submit(_scan_lead_range, field, V, T, lead,
+                           highs[a:a + step], stop_at, block)
+               for a in range(0, len(highs), step)]
     best, best_tail = -1, -1
     try:
         for fut in futures:
             b, t = fut.result()
             if b > best:
                 best, best_tail = b, t
-                if stop_at is not None and best >= stop_at:
+                if best >= stop_at:
                     break
     finally:
         for fut in futures:
@@ -418,20 +405,16 @@ def max_zeros(ws, field: FiniteField, d: int, *,
         return MaxZerosResult(False, None, None, 0, 0)
     sp = space(ws, field)
     V = monomial_matrix(ws, field, d)
-    k, n = V.shape
-    best, (lead, tail), total = _max_zeros_sweep(
-        V, field, exponents=basis, stop_at=n, budget=budget, jobs=jobs)
+    best, (lead, tail), total, visited = _max_zeros_sweep(
+        V, field, exponents=basis, budget=budget, jobs=jobs)
     witness = None
     if want_witness:
-        coeffs = coeffs_at(field.q, k, lead, tail)
+        coeffs = coeffs_at(field.q, len(basis), lead, tail)
         witness = WeightedPolynomial.from_coefficients(
             ws, field, d, basis, coeffs)
         if count_zeros(witness, sp) != best:
             raise AssertionError(f"witness {witness!r} misses the {best} "
                                  f"zeros the sweep found")
-    # the sweep's own plan, from the cache
-    visited = _sweep_plan(k, _low_width(field.q, k, n), field,
-                          tuple(basis)).visited
     return MaxZerosResult(True, best, witness, total, visited)
 
 
@@ -763,7 +746,7 @@ def check_bounds(poly: WeightedPolynomial, sp: WeightedProjectiveSpace, *,
         if affine:
             V = V[:, sp.point_coords()[:, 0] != 0]
         try:
-            return _max_zeros_sweep(V, sp.field, stop_at=V.shape[1],
+            return _max_zeros_sweep(V, sp.field,
                                     exponents=monomial_basis(ws, d),
                                     budget=oracle_budget)[0]
         except BudgetExceeded:

@@ -61,8 +61,8 @@ def rref_min_distance(inst, *, budget, jobs=None) -> int:
     R, _ = axpy_row_reduce(inst.matrix, inst.field)
     if R.shape[0] == 0:
         raise ValueError("the zero code has no minimum distance")
-    best, _, _ = _max_zeros_sweep(R, inst.field, stop_at=inst.n - 1,
-                                  budget=budget, jobs=jobs)
+    best, *_ = _max_zeros_sweep(R, inst.field, stop_at=inst.n - 1,
+                                budget=budget, jobs=jobs)
     return inst.n - best
 
 
@@ -315,27 +315,54 @@ def test_torus_distance_fits_on_a_deficient_code():
         == rref_min_distance(inst, budget=10 ** 6) == 2
 
 
+def swept_rows_and_exponents(inst):
+    """The (V, exponents) that `min_distance_exhaustive` hands its sweep."""
+    seen = []
+
+    def recording(V, field, **kwargs):
+        seen.append((V, kwargs["exponents"]))
+        return 0, (0, 0), 0, 0  # the sweep itself is not under test
+
+    with mock.patch.object(codes, "_max_zeros_sweep", recording):
+        min_distance_exhaustive(inst)
+    (V, exponents), = seen
+    return V, exponents
+
+
 def test_injective_codes_sweep_the_matrix_with_exponents():
     # Every code sweeps its independent rows with their exponents: all of
     # them for an injective code, a basis of the code for a deficient one.
-    seen = []
-    sweep = codes._max_zeros_sweep
-
-    def recording(V, field, **kwargs):
-        seen.append((V, kwargs.get("exponents")))
-        return sweep(V, field, **kwargs)
-
     injective = build_code("wprm", GF(3), 2, 6, (1, 2, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         deficient = build_code("rm", GF(2), 2, 3)
     assert injective.rank == len(injective.basis)
     assert deficient.rank < len(deficient.basis)
-    with mock.patch.object(codes, "_max_zeros_sweep", recording):
-        min_distance_exhaustive(injective)
-        min_distance_exhaustive(deficient)
-    (V1, e1), (V2, e2) = seen
+    V1, e1 = swept_rows_and_exponents(injective)
+    V2, e2 = swept_rows_and_exponents(deficient)
     assert np.array_equal(V1, injective.matrix) and e1 == injective.basis
     rows = deficient.rows
     assert np.array_equal(V2, deficient.matrix[rows])
     assert e2 == [deficient.basis[i] for i in rows]
+
+
+@pytest.mark.parametrize("q", (3, 4, 5, 7))
+def test_sweep_exponents_are_the_torus_characters_of_its_rows(q):
+    # Scaling the coefficient c_j of swept row j by t^beta_j, for t in the
+    # torus, gives the codeword of F(t x): a permutation of the points up to
+    # nonzero scalars, so every weight is kept.  The torus sweep relies on
+    # this, and it holds only when beta_j is the exponent of row j.
+    fq = field_from_spec(str(q))
+    rng = np.random.default_rng(q)
+    deficient = 0
+    for inst in code_grid([q]):
+        V, exponents = swept_rows_and_exponents(inst)
+        beta = np.array(exponents, dtype=np.int64)  # (rows, m + 1)
+        for _ in range(20):
+            c = rng.integers(0, q, size=len(beta))
+            logs = rng.integers(0, q - 1, size=beta.shape[1])  # t = g^logs
+            scaled = fq.mul_arr(fq.exp_table[beta @ logs % (q - 1)], c)
+            assert np.count_nonzero(fq.matmul(c, V)) \
+                == np.count_nonzero(fq.matmul(scaled, V)), inst
+        deficient += inst.rank < len(inst.basis)
+    assert deficient

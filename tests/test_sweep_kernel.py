@@ -75,17 +75,21 @@ def sweep_cases(draw):
 @given(sweep_cases(), st.data())
 def test_scan_lead_range_matches_reference(case, data):
     fq, V, stop_at, block, cells = case
-    k = V.shape[0]
+    k, n = V.shape
     lead = data.draw(st.integers(0, k - 1))
-    tail_count = fq.q ** (k - 1 - lead)
-    lo = data.draw(st.integers(0, tail_count))
-    hi = data.draw(st.integers(lo, tail_count))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zs, "_TABLE_CELLS", cells)
         T = low_table(V, fq)
-        for a, b in ((0, tail_count), (lo, hi)):
-            assert zs._scan_lead_range(fq, V, T, lead, a, b, stop_at, block) \
-                == reference_scan(fq, V, lead, a, b, stop_at)
+    cols = min(T.shape[1], fq.q ** (k - 1 - lead))
+    high_count = fq.q ** (k - 1 - lead) // cols
+    lo = data.draw(st.integers(0, high_count))
+    hi = data.draw(st.integers(lo, high_count))
+    # The scan takes a count; None asks the reference for the plain maximum.
+    scan_stop = n if stop_at is None else stop_at
+    for a, b in ((0, high_count), (lo, hi)):
+        highs = np.arange(a, b, dtype=np.int64)
+        assert zs._scan_lead_range(fq, V, T, lead, highs, scan_stop, block) \
+            == reference_scan(fq, V, lead, a * cols, b * cols, stop_at)
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,10 +98,10 @@ def test_max_zeros_sweep_matches_reference(case):
     fq, V, stop_at, block, cells = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zs, "_TABLE_CELLS", cells)
-        best, where, total = zs._max_zeros_sweep(V, fq, stop_at=stop_at,
-                                                 jobs=1, block=block)
+        best, where, total, visited = zs._max_zeros_sweep(
+            V, fq, stop_at=stop_at, jobs=1, block=block)
     assert (best, where) == reference_sweep(fq, V, stop_at)
-    assert total == (fq.q ** V.shape[0] - 1) // (fq.q - 1)
+    assert visited == total == (fq.q ** V.shape[0] - 1) // (fq.q - 1)
 
 
 def test_low_table_layout():

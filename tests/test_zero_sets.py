@@ -336,7 +336,7 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     serial = [max_zeros(ws, fq, d, jobs=1) for ws, fq, d in cases]
     # a stop_at first reached in the middle of a lead
     V = zs.monomial_matrix((1, 1, 1), GF(3), 3)
-    best, (lead, tail), _ = zs._max_zeros_sweep(V, GF(3), jobs=1)
+    best, (lead, tail), *_ = zs._max_zeros_sweep(V, GF(3), jobs=1)
     assert 0 < tail < GF(3).q ** (V.shape[0] - 1 - lead) - 1
     early = zs._max_zeros_sweep(V, GF(3), stop_at=best, jobs=1)
     inst = build_code("prm", GF(3), 2, 2)
