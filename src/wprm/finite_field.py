@@ -3,41 +3,46 @@
 Elements travel as plain integer indices in [0, q).  Index 0 is the additive
 zero and index 1 the multiplicative one; for e > 1 the index encodes the
 coefficient vector of the residue polynomial in base p, constant term in the
-lowest digit, so indices 0..p-1 are exactly the prime subfield.  Products are
-looked up in generator exp/log tables (Zech-style).  `exp_table` lists g^k for
-k < q - 1 and `log_table` inverts it, with -1 at index 0.
+lowest digit, so indices 0..p-1 are exactly the prime subfield.
 
-The array product uses a second pair of tables with a zero sentinel, so that
-it is one add and one gather with no mask: `_zlog` is `log_table` with the log
-of 0 set to 2(q - 1), and `_zexp` is `exp_table` written out twice and then
-padded with zeros to length 4(q - 1) + 1.  Two unit logs sum to less than
-2(q - 1) and land in the doubled table; a sum with any zero operand lands in
-the padding.
+The tables are built with GF(p)-linear maps on these digit vectors, in
+blocks of array operations.  The reduction polynomial is the lex-least
+irreducible monic: each candidate's remainders modulo every monic of degree
+<= e/2 come from one product with a table of the remainders of X^j.  The
+product with y is the matrix M_y = sum_t y_t C^t, C the companion matrix of
+the reduction polynomial.  The generator g is the least index >= 2 whose
+M_g^((q-1)/r) is not the identity for any prime r | q - 1.  `exp_table`
+lists g^k for k < q - 1, by doubling: one exact float product with M_(g^k)
+mod p turns the digits of exp[:k] into those of exp[k:2k].  `log_table`
+inverts it, with -1 at index 0.
 
-Sums are gathers too.  Every field with q <= 256 holds a q x q sum table,
-built once next to the product tables, and the array sum is the one gather
-`_sum[a * q + b]`, for prime and extension fields alike.  Above 256 a prime
-field adds as (a + b) mod p, and an extension field adds the rows of a
-base-p digit table (built on first use, once per (p, e)) mod p and reads
-the index back off in one product with the radix vector.
-Row reduction subtracts multiples of the pivot row through `sub_multiples`:
-one table of multiples, one row gather, and with a sum table the sum taken
-in place on the caller's copy of the rows.
-A negation is plain integer arithmetic mod p on prime fields and the
-product with -1 (index p - 1) for e > 1.  The field owns the GF(p) /
-GF(p^e) split: callers use its array ops and `matmul` and never branch on
-the extension degree themselves.
+The array product is one add and one gather with no mask: `_zlog` is
+`log_table` with the log of 0 set to 2(q - 1), and `_zexp` is `exp_table`
+written out twice and then padded with zeros to length 4(q - 1) + 1, so two
+unit logs land in the doubled table and a zero operand in the padding.
+
+Sums are gathers too.  Every field with q <= 256 holds a q x q sum table and
+adds as the one gather `_sum[a * q + b]`, for prime and extension fields
+alike.  Above 256 a prime field adds as (a + b) mod p, and an extension
+field adds the rows of a base-p digit table (built on first use, once per
+(p, e)) mod p and reads the index back off with the radix vector.
+`sub_multiples` clears a column for row reduction with one table of
+multiples of the pivot row and one row gather.  A negation is integer
+arithmetic mod p on prime fields and the product with -1 (index p - 1) for
+e > 1.  The field owns the GF(p) / GF(p^e) split: callers use its array ops
+and `matmul` and never branch on the extension degree themselves.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
 FIELD_SIZE_CAP = 1 << 16
 _SUM_TABLE_MAX_Q = 256  # fields up to this size add through a q x q table
+_ONE_THREAD_MACS = 1 << 18  # BLAS runs a product this small on one thread
+_GENERATOR_BLOCK = 32  # candidate generators tested at once
 
 
 def is_prime(n: int) -> bool:
@@ -70,37 +75,38 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    # Remainder of num modulo a monic den; coefficient lists run low to high.
-    num = list(num)
-    dn = len(den) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            for j in range(dn + 1):
-                num[i - dn + j] = (num[i - dn + j] - c * den[j]) % p
-    return num[:dn]
-
-
-def _is_irreducible(tail: tuple[int, ...], e: int, p: int) -> bool:
-    # tail = non-leading coefficients (low to high) of a monic degree-e poly.
-    # Trial division by every monic polynomial of degree <= e // 2.
-    f = list(tail) + [1]
-    for deg in range(1, e // 2 + 1):
-        for t in itertools.product(range(p), repeat=deg):
-            den = list(t) + [1]
-            if not any(_poly_rem(f, den, p)):
-                return False
-    return True
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    # x mod p in place for integer-valued floats, ~10x faster than np.fmod
+    x -= p * np.floor(x / p)
+    return x
 
 
 def _canonical_reduction(p: int, e: int) -> tuple[int, ...]:
     # Lexicographically smallest irreducible monic of degree e, comparing
-    # coefficients low degree first under 0 < 1 < ... < p-1.
-    for tail in itertools.product(range(p), repeat=e):
-        # X divides every candidate whose constant term is 0
-        if tail[0] and _is_irreducible(tail, e, p):
-            return tail
+    # coefficients low degree first under 0 < 1 < ... < p-1.  X divides the
+    # candidates with constant term 0, which come first; any other is
+    # reducible iff a monic D of degree d <= e // 2 with D(0) != 0 divides
+    # it.  Row j of rems[d-1] holds X^j mod D for every such D.
+    rems = []
+    for d in range(1, e // 2 + 1):
+        den = _digits(p, d)[np.arange(p ** d) % p != 0]  # tails of such D
+        r = np.zeros((e + 1, len(den), d))
+        r[:d] = np.eye(d)[:, None]  # X^j for j < d
+        for j in range(d - 1, e):  # X^(j+1) = X X^j, and X^d = -(tail of D)
+            r[j + 1, :, 1:] = r[j, :, :-1]
+            r[j + 1] = (r[j + 1] - r[j, :, -1:] * den) % p
+        rems.append(r.reshape(e + 1, -1))
+    lex = p ** np.arange(e - 1, -1, -1)  # tail[0] is the slowest digit
+    block = max(1, _ONE_THREAD_MACS // rems[-1].size)
+    for lo in range(p ** (e - 1), p ** e, block):
+        f = np.ones((min(block, p ** e - lo), e + 1))
+        f[:, :e] = np.arange(lo, lo + len(f))[:, None] // lex % p
+        irreducible = np.ones(len(f), dtype=bool)
+        for d, r in enumerate(rems, 1):
+            rem = _mod_p(f @ r, p).reshape(len(f), -1, d)
+            irreducible &= rem.any(axis=2).all(axis=1)
+        if irreducible.any():
+            return tuple(int(c) for c in f[np.argmax(irreducible), :e])
     raise RuntimeError(f"no irreducible of degree {e} over GF({p})")
 
 
@@ -122,8 +128,8 @@ class FiniteField:
         self.e = e
         self.q = q
         self.reduction_poly = () if e == 1 else _canonical_reduction(p, e)
-        self.generator = self._find_generator()
-        exp = self._powers_of_generator()
+        self.generator, m_g = self._find_generator()
+        exp = self._powers_of_generator(m_g)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         self.exp_table = exp
@@ -141,66 +147,59 @@ class FiniteField:
 
     # -- construction helpers ------------------------------------------------
 
-    def _to_digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _from_digits(self, digits: list[int]) -> int:
-        a = 0
-        for c in reversed(digits):
-            a = a * self.p + (c % self.p)
-        return a
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        # Table-free product, used while the tables are being built.
-        if self.e == 1:
-            return (a * b) % self.p
-        da, db = self._to_digits(a), self._to_digits(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % self.p
-        red = list(self.reduction_poly) + [1]
-        return self._from_digits(_poly_rem(prod, red, self.p))
-
-    def _powers_of_generator(self) -> np.ndarray:
-        # exp[k] = g^k for k < q - 1, by doubling: exp[k:2k] = g^k exp[0:k].
-        # Multiplication by y = g^k is GF(p)-linear on base-p digit vectors;
-        # row t of its matrix is the digits of y X^t, and X^t has index p^t.
-        p = self.p
-        radix = _radix(p, self.e)
-        exp = np.ones(1, dtype=np.int64)
-        while len(exp) < self.q - 1:
-            k = len(exp)
-            y = self._pow_slow(self.generator, k)
-            rows = np.array([self._to_digits(self._mul_slow(y, int(x)))
-                             for x in radix], dtype=np.int64)
-            digits = exp[:self.q - 1 - k, None] // radix % p
-            exp = np.concatenate([exp, (digits @ rows % p) @ radix])
-        return exp
-
-    def _pow_slow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            n >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
-        order_factors = prime_factors(self.q - 1)
-        for g in range(2, self.q):
-            if all(self._pow_slow(g, (self.q - 1) // r) != 1
-                   for r in order_factors):
-                return g
+    def _find_generator(self) -> tuple[int, np.ndarray]:
+        # The least index g >= 2 of order q - 1, and M_g: column t holds the
+        # digits of g X^t, so M_g^n is the identity exactly where g^n = 1.
+        # Each M_g^((q-1)/r) is a product of the shared squares M_g^(2^i).
+        p, e, q = self.p, self.e, self.q
+        basis = np.empty((e, e, e))  # C^t
+        basis[0] = np.eye(e)
+        if e > 1:
+            companion = np.eye(e, k=-1)  # X X^t = X^(t+1) for t < e - 1
+            companion[:, -1] = (-np.asarray(self.reduction_poly)) % p
+            for t in range(1, e):
+                basis[t] = _mod_p(basis[t - 1] @ companion, p)
+        for lo in range(min(2, q - 1), q, _GENERATOR_BLOCK):  # 1 on GF(2)
+            g = np.arange(lo, min(lo + _GENERATOR_BLOCK, q))
+            m = (g[:, None] // _radix(p, e) % p) @ basis.reshape(e, -1)
+            squares = [_mod_p(m, p).reshape(-1, e, e)]
+            while 2 ** len(squares) <= (q - 1) // 2:
+                squares.append(_mod_p(squares[-1] @ squares[-1], p))
+            primitive = np.ones(len(g), dtype=bool)
+            for r in prime_factors(q - 1):
+                n = (q - 1) // r
+                powered = functools.reduce(
+                    lambda a, b: _mod_p(a @ b, p),
+                    [s for i, s in enumerate(squares) if n >> i & 1])
+                primitive &= ~(powered == np.eye(e)).all(axis=(1, 2))
+            if primitive.any():
+                i = int(np.argmax(primitive))
+                return int(g[i]), squares[0][i]
         raise RuntimeError("no generator found")  # unreachable
+
+    def _powers_of_generator(self, m_g: np.ndarray) -> np.ndarray:
+        # exp[k] = g^k for k < q - 1 by doubling, on the rows of `digits`.
+        # float32 is exact, as e (p-1)^2 < 2^24 when 1 < e and p^e <= 2^16; a
+        # prime field's 1 x 1 products take float64 (no BLAS in numpy).
+        # The rows go in blocks that BLAS runs on the calling thread: waking
+        # its worker threads made the whole build 3-6 times slower in about
+        # half of the fresh interpreters on 2 CPUs.
+        p, e, n = self.p, self.e, self.q - 1
+        step = max(1, _ONE_THREAD_MACS // e ** 2)
+        digits = np.zeros((n, e), dtype=np.float32 if e > 1 else np.float64)
+        digits[0, 0] = 1
+        m_y = m_g.astype(digits.dtype)
+        k = 1
+        while k < n:
+            m = min(k, n - k)
+            for i in range(0, m, step):
+                rows = digits[k + i:k + min(i + step, m)]
+                _mod_p(np.matmul(digits[i:i + len(rows)], m_y.T, out=rows), p)
+            m_y = _mod_p(m_y @ m_y, p)
+            k += m
+        # einsum, not BLAS: a matrix-vector product this long runs threaded
+        radix = _radix(p, e).astype(digits.dtype)
+        return np.einsum("ij,j->i", digits, radix).astype(np.int64)
 
     # -- scalar arithmetic on indices ----------------------------------------
 

@@ -59,6 +59,7 @@ from .weighted_poly import WeightedPolynomial, monomial_basis, monomial_values
 
 DEFAULT_CANDIDATE_BUDGET = 10 ** 8
 _BLOCK = 1 << 14
+_SCAN_CELLS = 3 << 20  # compare cells of one scan block: 2^14 tails x 192 points
 _PARALLEL_MIN = 1 << 28  # cells (visited tails x points) of a lead worth a pool
 _TABLE_CELLS = 1 << 18
 _GATHER_CELLS = 1 << 16  # int64 cells of one `_extend_table` gather
@@ -159,14 +160,14 @@ def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
     Tw = T[:, :cols]
     V_hi = V[lead:k - low]
     powers = q ** np.arange(width - low - 1, -1, -1, dtype=np.int64)
-    per = max(1, block // cols)  # high parts per block
+    per = max(1, min(block, _SCAN_CELLS // max(n, 1)) // cols)  # high parts per block
     counts = np.min_scalar_type(n)  # summing in a narrow dtype is faster
     best, best_tail = -1, -1
     for a in range(0, len(highs), per):
         h = highs[a:a + per]
         H = np.ones((len(h), width - low + 1), dtype=np.int64)
         H[:, 1:] = (h[:, None] // powers) % q  # the high digits
-        W = field.neg_arr(field.matmul(H, V_hi)).astype(T.dtype)
+        W = field.matmul(field.neg_arr(H), V_hi).astype(T.dtype)
         # z[i] is the count of tail h[i // cols] * cols + i % cols
         z = (Tw[None] == W[:, :, None]).sum(axis=1, dtype=counts).ravel()
         i = int(np.argmax(z))

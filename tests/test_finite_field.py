@@ -1,11 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from wprm.finite_field import (FIELD_SIZE_CAP, GF, FiniteField,
-                               _is_irreducible, field_from_spec, is_prime,
-                               prime_factors)
+                               field_from_spec, is_prime, prime_factors)
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (19, 1), (61, 1),
           (2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]
@@ -34,16 +34,186 @@ def test_construction_errors():
     assert GF(2, 16).q == FIELD_SIZE_CAP
 
 
+# -- the scalar-loop constructor, kept verbatim as the reference ----------------------
+#
+# FiniteField.__init__ once built its tables with scalar polynomial products:
+# trial division by every monic of degree <= e // 2, a generator test by
+# square-and-multiply, and a doubling whose rows came from `_mul_slow`.  The
+# build now works with GF(p)-linear maps; its tables must stay byte-identical.
+
+
+def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
+    # Remainder of num modulo a monic den; coefficient lists run low to high.
+    num = list(num)
+    dn = len(den) - 1
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if c:
+            for j in range(dn + 1):
+                num[i - dn + j] = (num[i - dn + j] - c * den[j]) % p
+    return num[:dn]
+
+
+def _is_irreducible(tail: tuple[int, ...], e: int, p: int) -> bool:
+    # tail = non-leading coefficients (low to high) of a monic degree-e poly.
+    # Trial division by every monic polynomial of degree <= e // 2.
+    f = list(tail) + [1]
+    for deg in range(1, e // 2 + 1):
+        for t in itertools.product(range(p), repeat=deg):
+            den = list(t) + [1]
+            if not any(_poly_rem(f, den, p)):
+                return False
+    return True
+
+
+def _canonical_reduction(p: int, e: int) -> tuple[int, ...]:
+    # Lexicographically smallest irreducible monic of degree e, comparing
+    # coefficients low degree first under 0 < 1 < ... < p-1.
+    for tail in itertools.product(range(p), repeat=e):
+        # X divides every candidate whose constant term is 0
+        if tail[0] and _is_irreducible(tail, e, p):
+            return tail
+    raise RuntimeError(f"no irreducible of degree {e} over GF({p})")
+
+
+def _radix(p: int, e: int) -> np.ndarray:
+    return p ** np.arange(e, dtype=np.int64)
+
+
+def _digits(p: int, e: int) -> np.ndarray:
+    return (np.arange(p ** e, dtype=np.int64)[:, None] // _radix(p, e)
+            % p).astype(np.uint16)
+
+
+class ScalarLoopField:
+    """The tables of GF(p^e) as the scalar-loop constructor built them."""
+
+    def __init__(self, p: int, e: int = 1):
+        q = p ** e
+        self.p = p
+        self.e = e
+        self.q = q
+        self.reduction_poly = () if e == 1 else _canonical_reduction(p, e)
+        self.generator = self._find_generator()
+        exp = self._powers_of_generator()
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
+        self.exp_table = exp
+        self.log_table = log
+        if (exp == 0).any() or np.count_nonzero(log >= 0) != q - 1:
+            raise AssertionError("exp table is not a bijection onto the units")
+        self._zlog = np.where(log < 0, 2 * (q - 1), log)
+        self._zexp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        self._zexp[:2 * (q - 1)] = np.tile(exp, 2)
+        self._sum = None
+        if q <= 256:
+            # _sum[a * q + b] = a + b: digit sums mod p, read back in base p
+            d = _digits(p, e)
+            self._sum = ((d[:, None] + d[None]) % p @ _radix(p, e)).ravel()
+
+    def _to_digits(self, a: int) -> list[int]:
+        out = []
+        for _ in range(self.e):
+            out.append(a % self.p)
+            a //= self.p
+        return out
+
+    def _from_digits(self, digits: list[int]) -> int:
+        a = 0
+        for c in reversed(digits):
+            a = a * self.p + (c % self.p)
+        return a
+
+    def _mul_slow(self, a: int, b: int) -> int:
+        # Table-free product, used while the tables are being built.
+        if self.e == 1:
+            return (a * b) % self.p
+        da, db = self._to_digits(a), self._to_digits(b)
+        prod = [0] * (2 * self.e - 1)
+        for i, ca in enumerate(da):
+            if ca:
+                for j, cb in enumerate(db):
+                    prod[i + j] = (prod[i + j] + ca * cb) % self.p
+        red = list(self.reduction_poly) + [1]
+        return self._from_digits(_poly_rem(prod, red, self.p))
+
+    def _powers_of_generator(self) -> np.ndarray:
+        # exp[k] = g^k for k < q - 1, by doubling: exp[k:2k] = g^k exp[0:k].
+        # Multiplication by y = g^k is GF(p)-linear on base-p digit vectors;
+        # row t of its matrix is the digits of y X^t, and X^t has index p^t.
+        p = self.p
+        radix = _radix(p, self.e)
+        exp = np.ones(1, dtype=np.int64)
+        while len(exp) < self.q - 1:
+            k = len(exp)
+            y = self._pow_slow(self.generator, k)
+            rows = np.array([self._to_digits(self._mul_slow(y, int(x)))
+                             for x in radix], dtype=np.int64)
+            digits = exp[:self.q - 1 - k, None] // radix % p
+            exp = np.concatenate([exp, (digits @ rows % p) @ radix])
+        return exp
+
+    def _pow_slow(self, a: int, n: int) -> int:
+        r = 1
+        while n:
+            if n & 1:
+                r = self._mul_slow(r, a)
+            a = self._mul_slow(a, a)
+            n >>= 1
+        return r
+
+    def _find_generator(self) -> int:
+        if self.q == 2:
+            return 1
+        order_factors = prime_factors(self.q - 1)
+        for g in range(2, self.q):
+            if all(self._pow_slow(g, (self.q - 1) // r) != 1
+                   for r in order_factors):
+                return g
+        raise RuntimeError("no generator found")  # unreachable
+
+
+def _prime_power(q):
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        return None
+    p = factors[0]
+    return p, round(math.log(q, p))
+
+
+DIFFERENTIAL_FIELDS = (
+    [pe for pe in map(_prime_power, range(2, 1025)) if pe]
+    + [(2, 16), (3, 10), (2, 15), (5, 6), (7, 5), (13, 4), (251, 2)])
+
+
+@pytest.mark.parametrize("p,e", DIFFERENTIAL_FIELDS,
+                         ids=[f"GF({p}^{e})" for p, e in DIFFERENTIAL_FIELDS])
+def test_construction_matches_scalar_loop_constructor(p, e):
+    got, want = FiniteField(p, e), ScalarLoopField(p, e)
+    assert p ** e == got.q == want.q
+    assert got.reduction_poly == want.reduction_poly
+    assert all(type(c) is int for c in got.reduction_poly)
+    assert type(got.generator) is int and got.generator == want.generator
+    for name in ("exp_table", "log_table", "_zexp", "_zlog", "_sum"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 16)])
 def test_tables_match_scalar_loop(p, e):
     # the doubling build against g^k by repeated table-free products, and
     # the reduction polynomial against a scan that skips no tail
     f = GF(p, e)
+    slow = ScalarLoopField(p, e)
     want = np.empty(f.q - 1, dtype=np.int64)
     acc = 1
     for i in range(f.q - 1):
         want[i] = acc
-        acc = f._mul_slow(acc, f.generator)
+        acc = slow._mul_slow(acc, f.generator)
     assert f.exp_table.dtype == np.int64
     assert np.array_equal(f.exp_table, want)
     assert np.array_equal(f.log_table[want], np.arange(f.q - 1))

@@ -2,12 +2,15 @@
 and `_max_zeros_sweep` against a plain loop over `batch_zero_counts`, which
 evaluates every candidate row in full."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wprm.zero_sets as zs
 from wprm.finite_field import GF
+from wprm.weighted_poly import monomial_basis
 
 FIELDS = [GF(2), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
 
@@ -123,3 +126,25 @@ def test_low_width_respects_table_cells(monkeypatch):
     assert zs._low_width(5, 3, 31) == 2        # never the whole vector
     monkeypatch.setattr(zs, "_TABLE_CELLS", 1)
     assert zs._low_width(5, 10, 31) == 0
+
+
+def test_scan_block_memory_is_bounded_by_cells():
+    # `eq-search --weights 1,1,1 --q 101 --d 2` has no low digits (L = 0), so
+    # a block of 2^14 high parts would hold a (16384, 10303) int64 product;
+    # the block is capped by compare cells, and the answer does not move.
+    fq, ws, d = GF(101), (1, 1, 1), 2
+    V = zs.monomial_matrix(ws, fq, d)
+    k, n = V.shape
+    L = zs._low_width(fq.q, k, n)
+    lead = zs._sweep_plan(k, L, fq, tuple(monomial_basis(ws, d))).leads[1]
+    highs = zs._canonical_highs(lead, fq.q)
+    assert (n, L, len(highs)) == (10303, 0, 10412)
+    T = np.zeros((n, 1), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        got = zs._scan_lead_range(fq, V, T, 1, highs, n, zs._BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert got == zs._scan_lead_range(fq, V, T, 1, highs, n, 64)
