@@ -459,8 +459,9 @@ class DelormeStep:
     index: int
     b: int
 
-    @property
+    @functools.cached_property
     def reduced(self) -> WeightSystem:
+        # Built once per step: not a field, so equality and hash ignore it.
         return WeightSystem(tuple(
             a if j == self.index else a // self.b
             for j, a in enumerate(self.source)))

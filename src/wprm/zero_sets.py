@@ -688,10 +688,20 @@ def _torus_correlation(a_exps: tuple, b_exps: tuple,
     return out
 
 
-def torus_count(a_exps, b_exps, alpha: int, beta: int,
-                field: FiniteField) -> int:
-    """Solutions in the unit torus of alpha x1^a1...xs^as = beta y1^b1...yt^bt."""
-    if alpha == 0 or beta == 0:
+def torus_count(a_exps, b_exps, alpha, beta, field: FiniteField):
+    """Solutions in the unit torus of alpha x1^a1...xs^as = beta y1^b1...yt^bt.
+
+    alpha and beta are nonzero field elements, or equal-length int arrays of
+    them: then the int64 array of the counts of every (alpha[j], beta[j])
+    comes from one gather.
+    """
+    alpha = np.asarray(alpha, dtype=np.int64)
+    beta = np.asarray(beta, dtype=np.int64)
+    if alpha.shape != beta.shape or alpha.ndim > 1:
+        raise ValueError("alpha and beta must be scalars or equal-length "
+                         "1-d arrays")
+    if (np.count_nonzero(alpha) < alpha.size
+            or np.count_nonzero(beta) < beta.size):
         raise ValueError("alpha and beta must be nonzero")
     if not a_exps or not b_exps:
         raise ValueError("each side needs at least one variable")
@@ -701,8 +711,9 @@ def torus_count(a_exps, b_exps, alpha: int, beta: int,
                               tuple(int(e) for e in b_exps), field)
     # In logs the equation reads log alpha + k = log beta + l (mod q - 1), so
     # each k on the left pairs with l = k + log alpha - log beta.
-    shift = int(field.log_table[alpha] - field.log_table[beta])
-    return int(corr[shift % (field.q - 1)])
+    counts = corr[(field.log_table[alpha] - field.log_table[beta])
+                  % (field.q - 1)]
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def torus_closed_form(a_exps, b_exps, q: int) -> int:

@@ -1,20 +1,23 @@
 """Acceptance suite: one test per release criterion, each printing a summary
 line and enforcing its stated exactness and time budget."""
 
+import dataclasses
 import re
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
+from wprm import verify
 from wprm.cli import main
-from wprm.codes import comparison_table, lambda_display
+from wprm.codes import build_code, comparison_table, lambda_display
 from wprm.finite_field import GF
 from wprm.verify import (suite_bounds, suite_classical_max, suite_delorme,
                          suite_family_counts, suite_plane_max,
                          suite_point_counts, suite_small_code_distance,
                          suite_torus)
-from wprm.weighted_space import WeightedProjectiveSpace
+from wprm.weighted_space import WeightedProjectiveSpace, delorme_reduce
 
 GOLDEN = Path(__file__).parent / "golden" / "f19_table.csv"
 
@@ -74,6 +77,23 @@ def test_criterion_3_torus_counts():
             res, time.perf_counter() - t0, 60)
 
 
+def test_torus_suite_names_the_one_wrong_pair(monkeypatch):
+    original = verify.torus_count
+
+    def torus_count(a_exps, b_exps, alpha, beta, fq):
+        got = original(a_exps, b_exps, alpha, beta, fq)
+        if (tuple(a_exps), tuple(b_exps)) == ((1,), (2,)):
+            got[(alpha == 2) & (beta == 1)] += 1
+        return got
+
+    monkeypatch.setattr(verify, "torus_count", torus_count)
+    # q = 3 takes all four (alpha, beta) pairs on the three coprime
+    # exponent tuples of one split.
+    res = suite_torus(qs=(3,), max_vars=2, max_exp=2)
+    assert res.checks == 12
+    assert res.failures == ["torus q=3 exps=(1, 2) alpha=2 beta=1: 3 != 2"]
+
+
 def test_criterion_4_exhaustive_maxima():
     t0 = time.perf_counter()
     res_a = suite_classical_max(qs=(2, 3), max_m=2, budget=10 ** 8)
@@ -125,19 +145,72 @@ def test_criterion_7_delorme_invariance():
     res = suite_delorme(qs=(2, 3), max_weight=4, max_b=3)
     _finish(7, "max zeros and code parameters agree across weight reductions",
             res, time.perf_counter() - t0, 600)
+    assert (res.checks, res.skipped) == (1944, 0)
+
+
+DELORME_SMALL = dict(qs=(2,), max_weight=3, max_b=2)
 
 
 def test_delorme_budget_blowups_are_skipped_not_passed():
-    tight = suite_delorme(qs=(2,), max_weight=3, max_b=2, budget=1)
-    full = suite_delorme(qs=(2,), max_weight=3, max_b=2)
-    assert full.skipped == 0
-    assert tight.ok and tight.skipped > 0
+    tight = suite_delorme(**DELORME_SMALL, budget=1)
+    full = suite_delorme(**DELORME_SMALL)
+    assert (full.checks, full.skipped) == (244, 0)
+    assert tight.ok and (tight.checks, tight.skipped) == (61, 61)
     # A skipped case records no check: the point-map check of each step
     # still runs, the max-zeros and code comparisons after it do not.
     assert tight.checks <= full.checks - 2 * tight.skipped
     summary = tight.summary()
     assert re.match(r"^PASS delorme: \d+ checks, 0 failures", summary)
     assert f"{tight.skipped} skipped" in summary
+
+
+# A wrong answer for one reduced space, one per kind of answer the suite
+# computes once per (field, reduced weights).
+WRONG_REDUCED = {
+    "points": lambda right: right - {min(right, key=lambda pt: pt.coords)},
+    "max_zeros": lambda right: dataclasses.replace(right,
+                                                   value=right.value + 1),
+    "code": lambda right: (right[0], right[1] + 1),
+}
+
+
+@pytest.mark.parametrize("answer", sorted(WRONG_REDUCED))
+def test_delorme_wrong_reduced_answer_fails_every_step_onto_it(monkeypatch,
+                                                               answer):
+    target = (1, 1, 1)
+    right = getattr(verify._ReducedSide, answer).func
+
+    def answer_of(side):
+        got = right(side)
+        if side.red.weights == target:
+            return WRONG_REDUCED[answer](got)
+        return got
+
+    monkeypatch.setattr(verify._ReducedSide, answer, property(answer_of))
+    res = suite_delorme(**DELORME_SMALL)
+    onto = [step for step in verify._reduction_steps(3, 2)
+            if delorme_reduce(*step).reduced.weights == target]
+    assert res.checks == 244 and len(onto) == 3
+    assert len(res.failures) == len(onto)
+    assert all(f"P{target}" in f for f in res.failures)
+
+
+@pytest.mark.parametrize("run,q,d,ws", [
+    (lambda: suite_delorme(**DELORME_SMALL), 2, 4, (1, 2, 4)),
+    (lambda: suite_small_code_distance(qs=(3,), max_a2=3), 3, 6, (1, 2, 3)),
+])
+def test_suites_silence_their_wprm_past_q_warning(run, q, d, ws):
+    # Each suite builds the code of (q, d, ws) on purpose; outside the suite
+    # the same build still warns.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        res = run()
+        assert warnings.filters == filters
+        assert res.ok and caught == []
+        build_code("wprm", GF(q), 2, d, ws)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith(f"WPRM with d = {d} > q = {q}:")
 
 
 def test_criterion_8_bound_suites():

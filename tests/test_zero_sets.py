@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wprm.zero_sets as zs
 from wprm.codes import build_code, min_distance_exhaustive
@@ -227,6 +228,40 @@ def test_torus_validation():
         torus_count((), (1,), 1, 1, fq)
     with pytest.raises(ValueError):
         torus_count((0,), (1,), 1, 1, fq)
+
+
+def test_torus_array_rejects_zero_entries():
+    fq = GF(7)
+    ones = np.ones(3, dtype=np.int64)
+    for zero_at in range(3):
+        hit = ones.copy()
+        hit[zero_at] = 0
+        with pytest.raises(ValueError):
+            torus_count((1, 2), (3,), hit, ones, fq)
+        with pytest.raises(ValueError):
+            torus_count((1, 2), (3,), ones, hit, fq)
+    with pytest.raises(ValueError):
+        torus_count((1,), (1,), ones, ones[:2], fq)
+
+
+TORUS_FIELDS = [field_from_spec(str(q)) for q in
+                (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TORUS_FIELDS), st.data())
+def test_torus_array_matches_scalar_loop(fq, data):
+    exps = st.lists(st.integers(1, 60), min_size=1, max_size=3)
+    a_exps, b_exps = data.draw(exps), data.draw(exps)
+    unit = st.integers(1, fq.q - 1)
+    pairs = data.draw(st.lists(st.tuples(unit, unit), min_size=1,
+                               max_size=12))
+    alphas = np.array([a for a, _ in pairs], dtype=np.int64)
+    betas = np.array([b for _, b in pairs], dtype=np.int64)
+    got = torus_count(a_exps, b_exps, alphas, betas, fq)
+    want = [torus_count(a_exps, b_exps, a, b, fq) for a, b in pairs]
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert all(type(w) is int for w in want)
 
 
 def test_torus_matches_brute_force():
