@@ -27,12 +27,10 @@ alike.  Above 256 a prime field adds as (a + b) mod p, and an extension
 field adds the rows of a base-p digit table (built on first use, once per
 (p, e)) mod p and reads the index back off with the radix vector.
 `sub_multiples` clears a column for row reduction: each row to clear takes
-its multiple of the pivot row, directly when fewer than q rows are left and
-from a table of multiples otherwise, and the sum is one more gather.  A
-negation is integer arithmetic mod p on prime fields and the product with -1
-(index p - 1) for e > 1.  The field owns the GF(p) / GF(p^e) split: callers
-use its array ops and `matmul` and never branch on the extension degree
-themselves.
+its multiple of the pivot row and the sum is one more gather.  A negation is
+integer arithmetic mod p on prime fields and the product with -1 (index
+p - 1) for e > 1.  The field owns the GF(p) / GF(p^e) split: callers use its
+array ops and `matmul` and never branch on the extension degree themselves.
 """
 
 from __future__ import annotations
@@ -269,21 +267,15 @@ class FiniteField:
         """rows[i] - coeffs[i] * vec for every i, for an int64 array rows
         that the caller gives up: it is overwritten as scratch.
 
-        With a sum table, fewer than q rows take their multiples of -vec
-        directly; more build the q multiples once and each row gathers its
-        own.  The sum is then taken in place on rows, one more gather.
-        Without a sum table the multiples are built once per distinct
-        coefficient, so the table never outgrows rows.
+        With a sum table each row takes its multiple of -vec directly and
+        the sum is taken in place on rows, one more gather.  Without a sum
+        table the multiples are built once per distinct coefficient, so the
+        table never outgrows rows.
         """
         neg = self.neg_arr(vec)
         if self._sum is not None:
-            if len(coeffs) < self.q:
-                multiples = self.mul_arr(np.asarray(coeffs)[:, None], neg)
-            else:
-                multiples = self.mul_arr(np.arange(self.q)[:, None],
-                                         neg)[coeffs]
             rows *= self.q
-            rows += multiples
+            rows += self.mul_arr(np.asarray(coeffs)[:, None], neg)
             return self._sum[rows]
         keys, pick = np.unique(coeffs, return_inverse=True)
         return self.add_arr(rows, self.mul_arr(keys[:, None], neg)[pick])

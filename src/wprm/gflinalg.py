@@ -3,9 +3,8 @@
 `row_reduce` runs forward elimination, one pivot step per column: find the
 pivot at or below the current row, swap it up, scale its row, and clear the
 rows below it.  Each row to clear takes its multiple of the pivot row
-(`FiniteField.sub_multiples`: a product when fewer than q rows are left, a
-gather from the q multiples otherwise), and the sum is one more gather on the
-rows' own copy, whose index arithmetic runs in place.
+(`FiniteField.sub_multiples`), and the sum is one more gather on the rows'
+own copy, whose index arithmetic runs in place.
 
 The steps update a window of the first 2 * rows columns; when the pivot
 search reaches the window's end, the window doubles and the recorded steps

@@ -695,13 +695,13 @@ def torus_count(a_exps, b_exps, alpha, beta, field: FiniteField):
     them: then the int64 array of the counts of every (alpha[j], beta[j])
     comes from one gather.
     """
-    alpha = np.asarray(alpha, dtype=np.int64)
-    beta = np.asarray(beta, dtype=np.int64)
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    if alpha.dtype.kind not in "iu" or beta.dtype.kind not in "iu":
+        raise ValueError("alpha and beta must be integers")
     if alpha.shape != beta.shape or alpha.ndim > 1:
         raise ValueError("alpha and beta must be scalars or equal-length "
                          "1-d arrays")
-    if (np.count_nonzero(alpha) < alpha.size
-            or np.count_nonzero(beta) < beta.size):
+    if np.count_nonzero(alpha < 1) or np.count_nonzero(beta < 1):
         raise ValueError("alpha and beta must be nonzero")
     if not a_exps or not b_exps:
         raise ValueError("each side needs at least one variable")
@@ -710,7 +710,8 @@ def torus_count(a_exps, b_exps, alpha, beta, field: FiniteField):
     corr = _torus_correlation(tuple(int(e) for e in a_exps),
                               tuple(int(e) for e in b_exps), field)
     # In logs the equation reads log alpha + k = log beta + l (mod q - 1), so
-    # each k on the left pairs with l = k + log alpha - log beta.
+    # each k on the left pairs with l = k + log alpha - log beta.  The
+    # bounds-checked gather raises IndexError for an entry past the field.
     counts = corr[(field.log_table[alpha] - field.log_table[beta])
                   % (field.q - 1)]
     return int(counts) if counts.ndim == 0 else counts

@@ -242,6 +242,17 @@ def test_torus_array_rejects_zero_entries():
             torus_count((1, 2), (3,), ones, hit, fq)
     with pytest.raises(ValueError):
         torus_count((1,), (1,), ones, ones[:2], fq)
+    # Non-integers and integers outside GF(7) are errors, not truncated or
+    # wrapped into some other element's count.
+    for error, bad in [(ValueError, 1.5), (ValueError, np.array([1.0, 2.0])),
+                       (ValueError, True), (ValueError, -1),
+                       (ValueError, np.array([1, -6])), (IndexError, 7),
+                       (IndexError, np.array([1, 7]))]:
+        good = np.ones(np.shape(bad), dtype=np.int64)
+        with pytest.raises(error):
+            torus_count((1, 2), (3,), bad, good, fq)
+        with pytest.raises(error):
+            torus_count((1, 2), (3,), good, bad, fq)
 
 
 TORUS_FIELDS = [field_from_spec(str(q)) for q in
