@@ -7,6 +7,8 @@ i-th coordinate to the b-th power and replace X_i^b by X_i in polynomials.
 Zero sets, point counts and code parameters all transport across the step.
 """
 
+import numpy as np
+
 from wprm import (GF, WeightedPolynomial, count_zeros, delorme_normalize,
                   delorme_reduce, max_zeros, space)
 
@@ -17,8 +19,9 @@ step = delorme_reduce((2, 1, 2), 1, 2)
 print("source:", step.source, "-> reduced:", step.reduced)
 
 src, red = space(step.source, F3), space(step.reduced, F3)
-image = {step.map_point(F3, pt) for pt in src.points()}
-print("point map is a bijection:", image == set(red.points()))
+image = step.map_points(F3, src.point_coords())  # row for row
+bijection = (image[np.lexsort(image.T[::-1])] == red.point_coords()).all()
+print("point map is a bijection:", bijection)
 
 # A degree-4 polynomial upstairs becomes a degree-2 polynomial downstairs
 F = WeightedPolynomial(step.source, F3, 4, {(2, 0, 0): 1, (0, 2, 1): 2})

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .finite_field import field_from_spec
 from .weighted_space import (BudgetExceeded, DEFAULT_TUPLE_BUDGET,
                              WeightedProjectiveSpace, as_weights,
-                             singular_locus, space)
+                             format_point, singular_locus, space)
 from .weighted_poly import format_polynomial, parse_polynomial
 from .zero_sets import (DEFAULT_CANDIDATE_BUDGET, FamilySpec, PrimitivePair,
                         build_family, check_bounds, count_zeros,
@@ -113,7 +113,7 @@ def cmd_points(cfg: RunConfig, args) -> int:
                    "singular": sing, "seed": None}
         _emit(_json(payload), cfg.out)
     else:
-        lines = [str(p) for p in sp.points()]
+        lines = [format_point(row) for row in coords.tolist()]
         lines.append(f"count={coords.shape[0]} expected={expected} "
                      f"char_divides_weight={sp.char_divides_weight}")
         if sing is not None:
@@ -394,7 +394,16 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 # -- parser -------------------------------------------------------------------------------------
 
-BUDGET_HELP = "cap on the tails a sweep visits, checked before it starts"
+# The run options, each added only to the subcommands that read it.
+KNOBS = {
+    "budget": dict(type=int, default=DEFAULT_CANDIDATE_BUDGET, help=(
+        "cap on the tails a sweep visits, checked before it starts")),
+    "tuple-budget": dict(type=int, default=DEFAULT_TUPLE_BUDGET,
+                         help="cap on the entries of the point array, "
+                              "p_m points times m+1 coordinates"),
+    "jobs": dict(type=int, default=None),
+    "seed": dict(type=int, default=0),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "weighted projective Reed-Muller codes")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, weights=True, degree=False, fmt=("text", "json")):
+    def common(p, *knobs, weights=True, degree=False, fmt=("text", "json")):
         p.add_argument("--q", required=True, help="field size, q or p^e")
         if weights:
             p.add_argument("--weights", required=True, type=_parse_weights)
@@ -412,23 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--d", required=True, type=int)
         p.add_argument("--format", choices=fmt, default=fmt[0])
         p.add_argument("--out")
-        p.add_argument("--budget", type=int, default=DEFAULT_CANDIDATE_BUDGET,
-                       help=BUDGET_HELP)
-        p.add_argument("--tuple-budget", type=int,
-                       default=DEFAULT_TUPLE_BUDGET,
-                       help="cap on the entries of the point array, "
-                            "p_m points times m+1 coordinates")
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        for name in knobs:
+            p.add_argument(f"--{name}", **KNOBS[name])
 
     p = sub.add_parser("points", help="enumerate canonical points")
-    common(p, fmt=("text", "csv", "json"))
+    common(p, "tuple-budget", fmt=("text", "csv", "json"))
     p.add_argument("--singular", action="store_true",
                    help="append the singular-locus report")
     p.set_defaults(fn=cmd_points)
 
     p = sub.add_parser("count-zeros", help="count zeros of a polynomial")
-    common(p)
+    common(p, "budget", "tuple-budget")
     p.add_argument("--poly", required=True,
                    help="polynomial text, e.g. '1*X0^2*X1 + 3*X2'")
     p.add_argument("--bounds", action="store_true")
@@ -438,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eq-search",
                        help="exhaustive maximum zero count over a degree")
-    common(p, degree=True)
+    common(p, "budget", "jobs", degree=True)
     p.set_defaults(fn=cmd_eq_search)
 
     p = sub.add_parser("family", help="build a product family polynomial")
@@ -452,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("lines", help="line catalog of a weighted plane")
-    common(p)
+    common(p, "tuple-budget", "seed")
     p.add_argument("--check", action="store_true",
                    help="run the full incidence suite")
     p.set_defaults(fn=cmd_lines)
 
     p = sub.add_parser("code", help="build a code and report its parameters")
-    common(p, weights=False, degree=True)
+    common(p, "budget", "jobs", weights=False, degree=True)
     p.add_argument("--kind", choices=codes_mod.KINDS, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--weights", type=_parse_weights,
@@ -482,17 +485,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--format", choices=("csv", "text", "json"), default="csv")
     p.add_argument("--out")
-    p.add_argument("--budget", type=int, default=DEFAULT_CANDIDATE_BUDGET,
-                   help=BUDGET_HELP)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    for name in ("budget", "jobs"):
+        p.add_argument(f"--{name}", **KNOBS[name])
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",
                    help=f"comma list from: {', '.join(SUITES)} (or 'all')")
     p.add_argument("--q", default=None, help="comma list of field sizes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", **KNOBS["seed"])
     p.add_argument("--per-bound", type=int, default=None)
     p.add_argument("--max-weight", type=int, default=None)
     p.set_defaults(fn=cmd_verify)

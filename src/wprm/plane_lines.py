@@ -116,8 +116,8 @@ class LineSystem:
 
     def line_points(self, line: PlaneLine) -> frozenset[WeightedPoint]:
         mask = zero_mask(line.polynomial(self.ws, self.field), self.space)
-        pts = self.space.points()
-        return frozenset(p for p, hit in zip(pts, mask) if hit)
+        return frozenset(WeightedPoint(tuple(row)) for row
+                         in self.space.point_coords()[mask].tolist())
 
     def intersect(self, l1: PlaneLine, l2: PlaneLine) -> frozenset[WeightedPoint]:
         if l1 == l2:

@@ -22,14 +22,15 @@ import numpy as np
 
 from .finite_field import FiniteField, field_from_spec
 from .weighted_space import (BudgetExceeded, WeightSystem, as_weights,
-                             delorme_reduce, projective_count, space)
+                             delorme_reduce, format_point, projective_count,
+                             space)
 from .weighted_poly import (WeightedPolynomial, coefficient_vector, dim_Sd,
                             monomial_basis)
 from .zero_sets import (FamilySpec, PrimitivePair, batch_zero_counts,
                         build_family, count_zeros, family_zero_count,
                         lower_bound_witness, max_zeros, max_zeros_lower_bound,
                         min_pair_lcm, monomial_matrix, projective_line_points,
-                        torus_closed_form, torus_count)
+                        torus_closed_form, torus_count, zero_mask)
 from .plane_lines import LineSystem
 from . import codes as codes_mod
 
@@ -368,27 +369,28 @@ def suite_lines(qs=(2, 3, 5, 7), weight_systems=None,
             lines = ls.lines()
             res.record(len(lines) == 1 + q + q * q,
                        f"catalog size {len(lines)} on P{wst}(F_{q})")
-            pts = [ls.line_points(l) for l in lines]
-            for l, P in zip(lines, pts):
-                res.record(len(P) == q + 1,
-                           f"line {l} on P{wst}(F_{q}) has {len(P)} points")
-            for (i, Pi), (j, Pj) in itertools.combinations(enumerate(pts), 2):
-                if not Pi & Pj:
-                    res.record(False,
-                               f"lines {lines[i]} and {lines[j]} on "
-                               f"P{wst}(F_{q}) do not meet")
-                    break
+            # incidence[l, x]: point x lies on line l
+            incidence = np.array([zero_mask(l.polynomial(ws, fq), sp)
+                                  for l in lines])
+            for l, size in zip(lines, incidence.sum(axis=1).tolist()):
+                res.record(size == q + 1,
+                           f"line {l} on P{wst}(F_{q}) has {size} points")
+            apart = np.argwhere(np.triu(~(incidence @ incidence.T), 1))
+            if len(apart):  # the first pair in combinations order
+                i, j = apart[0]
+                res.record(False, f"lines {lines[i]} and {lines[j]} on "
+                                  f"P{wst}(F_{q}) do not meet")
             else:
                 res.record(True)
-            affine = [p for p in sp.points() if p.coords[0] != 0]
-            for pt in affine:
-                on1 = sum(1 for l, P in zip(lines, pts)
-                          if l.kind == 1 and pt in P)
-                on2 = sum(1 for l, P in zip(lines, pts)
-                          if l.kind == 2 and pt in P)
-                res.record(on1 == 1 and on2 == q,
-                           f"affine point {pt} on P{wst}(F_{q}) lies on "
-                           f"{on1} vertical and {on2} non-vertical lines")
+            kinds = np.array([l.kind for l in lines])
+            on1 = incidence[kinds == 1].sum(axis=0).tolist()
+            on2 = incidence[kinds == 2].sum(axis=0).tolist()
+            for row, n1, n2 in zip(sp.point_coords().tolist(), on1, on2):
+                if row[0]:
+                    res.record(n1 == 1 and n2 == q,
+                               f"affine point {format_point(row)} on "
+                               f"P{wst}(F_{q}) lies on {n1} vertical and "
+                               f"{n2} non-vertical lines")
             d = ws[1] * ws[2]
             basis = monomial_basis(ws, d)
             for line in (lines[0], lines[1 + q // 2],
@@ -561,17 +563,13 @@ def _reduction_steps(max_weight: int, max_b: int):
 
 class _ReducedSide:
     """The answers on one reduced space P(red) over one field at degree
-    k = lcm(red): its point set, its max-zeros result (None where the budget
-    refuses the sweep) and its code's (rank, d_min), each computed the first
-    time a step asks for it."""
+    k = lcm(red): its max-zeros result (None where the budget refuses the
+    sweep) and its code's (rank, d_min), each computed the first time a step
+    asks for it."""
 
     def __init__(self, red: WeightSystem, fq: FiniteField, budget: int):
         self.red, self.fq, self.budget = red, fq, budget
         self.k = red.lcm
-
-    @functools.cached_property
-    def points(self) -> frozenset:
-        return frozenset(space(self.red, self.fq).points())
 
     @functools.cached_property
     def max_zeros(self):
@@ -613,10 +611,11 @@ def suite_delorme(qs=(2, 3), max_weight: int = 4, max_b: int = 3,
                 side = sides[red] = _ReducedSide(red, fq, budget)
             sp_src = space(source, fq)
             sp_red = space(red, fq)
-            mapped = {step.map_point(fq, pt) for pt in sp_src.points()}
+            # a bijection onto the points: its sorted images are the points
+            mapped = step.map_points(fq, sp_src.point_coords())
             res.record(
-                mapped == side.points
-                and len(mapped) == len(sp_src.points()),
+                np.array_equal(mapped[np.lexsort(mapped.T[::-1])],
+                               sp_red.point_coords()),
                 f"point map P{source} -> P{red.weights} over F_{q} "
                 f"is not a bijection")
             k = red.lcm

@@ -27,10 +27,12 @@ None of this depends on the values, only on the generators, so the canonical
 tuples are exactly the Cartesian product of the sets M_j of least units of
 the g_j cosets.  For points the group is the scalings above, one generator
 row on each support S; enumeration builds that product stratum by stratum,
-in work and memory proportional to the p_m points, and canonicalisation
-walks the chain with one table lookup per coordinate.  The exhaustive
-max-zeros sweep (`zero_sets`) builds its chains with the same builder, from
-the torus characters of the coefficients it normalises.
+in work and memory proportional to the p_m points.  Canonicalisation is a
+batch walk of the same chains: the rows of an (N, m+1) array are grouped by
+support, and each group walks its chain once, one link per column, over all
+of its rows together.  The exhaustive max-zeros sweep (`zero_sets`) builds
+its chains with the same builder, from the torus characters of the
+coefficients it normalises.
 """
 
 from __future__ import annotations
@@ -133,7 +135,12 @@ class WeightedPoint:
         raise ValueError("zero tuple is not a point")
 
     def __str__(self):
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
+        return format_point(self.coords)
+
+
+def format_point(coords) -> str:
+    """The text (x_0:...:x_m) of one point's coordinates."""
+    return "(" + ":".join(map(str, coords)) + ")"
 
 
 def _strip_char(g: int, p: int) -> int:
@@ -210,10 +217,6 @@ class WeightedProjectiveSpace:
         self.ws = as_weights(weights)
         self.field = field
         self._coords = None
-        self._points = None
-        # support -> its chain from `stabiliser_chain`, so that a canonical
-        # point costs one dict lookup and no key hashing
-        self._chains: dict[tuple[int, ...], tuple[_Link, ...]] = {}
 
     @property
     def m(self) -> int:
@@ -247,26 +250,26 @@ class WeightedProjectiveSpace:
 
     def _chain(self, support: tuple[int, ...]) -> tuple[_Link, ...]:
         """The stabiliser chain of a support: one generator, the scalings."""
-        chain = self._chains.get(support)
-        if chain is None:
-            chain = self._chains[support] = stabiliser_chain(
-                (tuple(self._scaling_logs(support)),), self.field)
-        return chain
+        return stabiliser_chain((tuple(self._scaling_logs(support)),),
+                                self.field)
 
-    def _checked(self, raw) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # (raw as ints, its support), refusing the zero tuple and non-elements.
-        raw = tuple(map(int, raw))
-        if len(raw) != len(self.ws) or min(raw) < 0 or max(raw) >= self.q:
-            raise ValueError(f"{raw} is not a tuple of {len(self.ws)} "
-                             f"elements of GF({self.q})")
-        support = tuple(i for i, c in enumerate(raw) if c)
-        if not support:
+    def _checked(self, coords) -> np.ndarray:
+        # The rows of coords as a new int64 array, refusing a zero row and
+        # rows that are not tuples of field elements, naming the first.
+        rows = np.array(coords, dtype=np.int64)
+        npos = len(self.ws)
+        bad = (rows.shape[1] != npos) | ((rows < 0) | (rows >= self.q)).any(1)
+        if bad.any():
+            raise ValueError(f"{tuple(rows[bad.argmax()].tolist())} is not a "
+                             f"tuple of {npos} elements of GF({self.q})")
+        if not rows.any(axis=1).all():
             raise ValueError("the zero tuple does not represent a point")
-        return raw, support
+        return rows
 
     def _orbit(self, raw) -> np.ndarray:
         # The q - 1 representative tuples of raw, row k scaled by shift k.
-        raw, support = self._checked(raw)
+        (raw,) = self._checked([tuple(raw)]).tolist()
+        support = tuple(i for i, c in enumerate(raw) if c)
         f = self.field
         n1 = f.q - 1
         shifts = np.arange(n1, dtype=np.int64)[:, None]
@@ -294,20 +297,29 @@ class WeightedProjectiveSpace:
 
     def canonicalize(self, raw) -> WeightedPoint:
         """Lexicographically least representative, under the index order."""
-        raw, support = self._checked(raw)
-        f = self.field
-        log, n1 = f.log_table, f.q - 1
-        out = list(raw)
-        shift = [0] * len(support)  # log added to each coordinate so far
-        for j, (i, (width, move, min_log, minima)) in enumerate(
-                zip(support, self._chain(support))):
-            lx = (log.item(raw[i]) + shift[j]) % n1
-            r = lx % width
-            out[i] = minima.item(r)
-            s = (min_log.item(r) - lx) // width
-            if s:
-                shift = [a + s * b for a, b in zip(shift, move)]
-        return WeightedPoint(tuple(out))
+        (row,) = self.canonicalize_many([tuple(raw)]).tolist()
+        return WeightedPoint(tuple(row))
+
+    def canonicalize_many(self, coords) -> np.ndarray:
+        """The canonical representative of each row of coords, an (N, m+1)
+        array of field elements, in row order: the rows of one support walk
+        its chain together, each link taking a column's shifted log to the
+        least of its coset and shifting the later columns to match."""
+        rows = self._checked(coords)
+        n1 = self.q - 1
+        bits = (rows != 0) @ (1 << np.arange(len(self.ws)))
+        for code in np.unique(bits).tolist():
+            at = bits == code
+            support = tuple(i for i in range(len(self.ws)) if code >> i & 1)
+            logs = self.field.log_table[rows[at][:, support]]
+            for j, (i, (width, move, min_log, minima)) in enumerate(
+                    zip(support, self._chain(support))):
+                lx = logs[:, j] % n1
+                r = lx % width
+                rows[at, i] = minima[r]
+                if j + 1 < len(support):  # the last link shifts nothing left
+                    logs += (min_log[r] - lx)[:, None] // width * np.array(move)
+        return rows
 
     # -- enumeration ------------------------------------------------------------
 
@@ -323,10 +335,8 @@ class WeightedProjectiveSpace:
         return self._coords
 
     def points(self) -> list[WeightedPoint]:
-        if self._points is None:
-            self._points = [WeightedPoint(tuple(int(c) for c in row))
-                            for row in self.point_coords()]
-        return self._points
+        return [WeightedPoint(tuple(row))
+                for row in self.point_coords().tolist()]
 
     def _enumerate(self, tuple_budget: int) -> np.ndarray:
         f = self.field
@@ -356,15 +366,8 @@ class WeightedProjectiveSpace:
     def stratum_sizes(self) -> list[int]:
         """Point counts of the strata W_i (first nonzero coordinate = i)."""
         coords = self.point_coords()
-        out = []
-        npos = len(self.ws)
-        for i in range(npos):
-            mask = np.ones(len(coords), dtype=bool)
-            for j in range(i):
-                mask &= coords[:, j] == 0
-            mask &= coords[:, i] != 0
-            out.append(int(mask.sum()))
-        return out
+        return np.bincount((coords != 0).argmax(axis=1),
+                           minlength=len(self.ws)).tolist()
 
     def __repr__(self):
         return f"P{self.ws.weights} over {self.field!r}"
@@ -466,14 +469,11 @@ class DelormeStep:
             a if j == self.index else a // self.b
             for j, a in enumerate(self.source)))
 
-    def map_coords(self, field: FiniteField, coords) -> tuple[int, ...]:
-        return tuple(
-            field.pow(int(c), self.b) if j == self.index else int(c)
-            for j, c in enumerate(coords))
-
-    def map_point(self, field: FiniteField, pt: WeightedPoint) -> WeightedPoint:
-        return space(self.reduced, field).canonicalize(
-            self.map_coords(field, pt.coords))
+    def map_points(self, field: FiniteField, coords) -> np.ndarray:
+        """The canonical images in P(reduced) of the rows of coords."""
+        out = np.array(coords, dtype=np.int64)
+        out[:, self.index] = field.pow_arr(out[:, self.index], self.b)
+        return space(self.reduced, field).canonicalize_many(out)
 
     def map_exponents(self, exponents) -> tuple[int, ...]:
         r = tuple(int(x) for x in exponents)

@@ -13,11 +13,14 @@ from wprm import verify
 from wprm.cli import main
 from wprm.codes import build_code, comparison_table, lambda_display
 from wprm.finite_field import GF
+from wprm.plane_lines import PlaneLine
 from wprm.verify import (suite_bounds, suite_classical_max, suite_delorme,
-                         suite_family_counts, suite_plane_max,
+                         suite_family_counts, suite_lines, suite_plane_max,
                          suite_point_counts, suite_small_code_distance,
                          suite_torus)
-from wprm.weighted_space import WeightedProjectiveSpace, delorme_reduce
+from wprm.weighted_space import (DelormeStep, WeightedPoint,
+                                 WeightedProjectiveSpace, delorme_reduce,
+                                 space)
 
 GOLDEN = Path(__file__).parent / "golden" / "f19_table.csv"
 
@@ -165,9 +168,11 @@ def test_delorme_budget_blowups_are_skipped_not_passed():
 
 
 # A wrong answer for one reduced space, one per kind of answer the suite
-# computes once per (field, reduced weights).
+# checks: the image of the point map, whose first source point is sent to
+# the image of the second, and the answers it computes once per (field,
+# reduced weights).
 WRONG_REDUCED = {
-    "points": lambda right: right - {min(right, key=lambda pt: pt.coords)},
+    "points": lambda right: right[[1] + list(range(1, len(right)))],
     "max_zeros": lambda right: dataclasses.replace(right,
                                                    value=right.value + 1),
     "code": lambda right: (right[0], right[1] + 1),
@@ -178,21 +183,68 @@ WRONG_REDUCED = {
 def test_delorme_wrong_reduced_answer_fails_every_step_onto_it(monkeypatch,
                                                                answer):
     target = (1, 1, 1)
-    right = getattr(verify._ReducedSide, answer).func
+    if answer == "points":
+        owner, name, right = DelormeStep, "map_points", DelormeStep.map_points
+        reduced, wrap = (lambda step: step.reduced), (lambda f: f)
+    else:
+        owner, name = verify._ReducedSide, answer
+        right = getattr(owner, name).func
+        reduced, wrap = (lambda side: side.red), property
 
-    def answer_of(side):
-        got = right(side)
-        if side.red.weights == target:
+    def answer_of(obj, *args):
+        got = right(obj, *args)
+        if reduced(obj).weights == target:
             return WRONG_REDUCED[answer](got)
         return got
 
-    monkeypatch.setattr(verify._ReducedSide, answer, property(answer_of))
+    monkeypatch.setattr(owner, name, wrap(answer_of))
     res = suite_delorme(**DELORME_SMALL)
     onto = [step for step in verify._reduction_steps(3, 2)
             if delorme_reduce(*step).reduced.weights == target]
     assert res.checks == 244 and len(onto) == 3
     assert len(res.failures) == len(onto)
     assert all(f"P{target}" in f for f in res.failures)
+
+
+def test_delorme_and_lines_suites_build_no_point_objects(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a suite built a WeightedPoint")
+
+    monkeypatch.setattr(WeightedPoint, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a WeightedPoint"):
+        WeightedPoint((1, 0, 0))
+    delorme = suite_delorme(**DELORME_SMALL)
+    lines = suite_lines(qs=(2, 3))
+    assert delorme.ok and delorme.checks == 244
+    assert lines.ok and lines.checks > 0
+
+
+def test_lines_suite_reports_a_wrong_incidence(monkeypatch):
+    # Line 0 (X0 = 0) loses (0:0:1), the one point it shares with each
+    # vertical line, and the vertical line X1 = 0 loses (1:0:0).
+    fq, ws = GF(3), (1, 2, 3)
+    sp = space(ws, fq)
+    coords = sp.point_coords().tolist()
+    dropped = {PlaneLine(0): (0, 0, 1), PlaneLine(1, 0): (1, 0, 0)}
+    right = verify.zero_mask
+
+    def wrong_mask(poly, space_):
+        mask = right(poly, space_).copy()
+        for line, pt in dropped.items():
+            if poly == line.polynomial(ws, fq):
+                mask[coords.index(list(pt))] = False
+        return mask
+
+    monkeypatch.setattr(verify, "zero_mask", wrong_mask)
+    res = suite_lines(qs=(3,), weight_systems=[ws])
+    at = "on P(1, 2, 3)(F_3)"
+    assert res.failures == [
+        f"line {PlaneLine(0)} {at} has 3 points",
+        f"line {PlaneLine(1, 0)} {at} has 3 points",
+        f"lines {PlaneLine(0)} and {PlaneLine(1, 0)} {at} do not meet",
+        f"affine point (1:0:0) {at} lies on 0 vertical and 3 non-vertical "
+        f"lines",
+    ]
 
 
 @pytest.mark.parametrize("run,q,d,ws", [

@@ -1,5 +1,8 @@
+import ast
+import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -212,3 +215,78 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert shared[0][1].startswith("kind,") and shared[1][1].startswith("(")
     assert shared[7][1].encode() == GOLDEN.read_bytes()
     assert shared[8][0] == 2
+
+
+# -- each subcommand takes only the options it reads ------------------------------
+
+
+BASE_ARGV = {
+    "points": ["points", "--weights", "1,2", "--q", "3"],
+    "count-zeros": ["count-zeros", "--weights", "1,2", "--q", "3",
+                    "--poly", "1*X0"],
+    "eq-search": ["eq-search", "--weights", "1,2", "--q", "3", "--d", "2"],
+    "family": ["family", "--weights", "1,1", "--q", "3", "--m0", "1,0",
+               "--m1", "0,1"],
+    "lines": ["lines", "--weights", "1,2,3", "--q", "3"],
+    "code": ["code", "--kind", "rm", "--q", "3", "--d", "1"],
+    "table": ["table"],
+}
+
+REMOVED_OPTIONS = [
+    ("points", "--budget"), ("points", "--jobs"), ("points", "--seed"),
+    ("count-zeros", "--jobs"), ("count-zeros", "--seed"),
+    ("eq-search", "--tuple-budget"), ("eq-search", "--seed"),
+    ("family", "--budget"), ("family", "--tuple-budget"),
+    ("family", "--jobs"), ("family", "--seed"),
+    ("lines", "--budget"), ("lines", "--jobs"),
+    ("code", "--tuple-budget"), ("code", "--seed"),
+    ("table", "--seed"),
+]
+
+
+@pytest.mark.parametrize("command,option", REMOVED_OPTIONS)
+def test_an_option_the_command_does_not_read_is_refused(capsys, command,
+                                                        option):
+    cli._parser().parse_args(BASE_ARGV[command])
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+def _argvs_in_this_file() -> list[list[str]]:
+    """The argument lists that this file passes to `run` or `main`, with any
+    argument that is not a string literal read as "0"; calls that splice a
+    list in (`*argv`) are covered by the lists they splice."""
+    tree = ast.parse(Path(__file__).read_text())
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "run":
+            args = node.args[1:]
+        elif node.func.id == "main" and isinstance(node.args[0], ast.List):
+            args = node.args[0].elts
+        else:
+            continue
+        if not any(isinstance(a, ast.Starred) for a in args):
+            out.append([a.value if isinstance(a, ast.Constant) else "0"
+                        for a in args])
+    return out + PARSER_SEQUENCE
+
+
+def _perfbench_argvs(monkeypatch) -> list[list[str]]:
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for dataclasses
+    spec.loader.exec_module(workloads)
+    return [op.argv for build in workloads.WORKLOADS.values()
+            for op in build(0) if op.argv]
+
+
+def test_every_argv_of_the_tests_and_the_benchmark_parses(monkeypatch):
+    ours, bench = _argvs_in_this_file(), _perfbench_argvs(monkeypatch)
+    assert len(ours) > 20 and len(bench) > 10
+    for argv in ours + bench:
+        cli._parser().parse_args(argv)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wprm import weighted_space
 from wprm.finite_field import GF, field_from_spec
 from wprm.verify import _weight_tuples
 from wprm.weighted_space import (BudgetExceeded, WeightedPoint,
@@ -125,12 +126,16 @@ def test_enumeration_matches_scan_on_larger_fields(ws, q):
     assert _same_array(got, ScanSpace(ws, fq).point_coords())
 
 
-def test_budget_counts_the_entries_built():
+def test_budget_counts_the_entries_built(monkeypatch):
     # P(1,2,3)/F7 builds 57 points of 3 coordinates: 171 entries
     sp = WeightedProjectiveSpace((1, 2, 3), GF(7))
+    chains = []
+    monkeypatch.setattr(weighted_space, "stabiliser_chain",
+                        lambda *args: chains.append(args))
     with pytest.raises(BudgetExceeded, match="171 array entries"):
         sp.point_coords(tuple_budget=170)
-    assert sp._coords is None and not sp._chains  # refused before any work
+    assert sp._coords is None and not chains  # refused before any work
+    monkeypatch.undo()
     assert sp.point_coords(tuple_budget=171).shape == (57, 3)
 
 
@@ -178,6 +183,58 @@ def test_canonicalize_matches_scan(case):
     assert sp.scaling_generator(support) == ref.scaling_generator(support)
 
 
+def _drawn_rows(rng, q: int, npos: int, count: int) -> np.ndarray:
+    # nonzero tuples, about a third of their entries zero, so that every
+    # support turns up
+    rows = rng.integers(0, q, size=(count, npos))
+    rows[rng.random((count, npos)) < 0.35] = 0
+    return rows[rows.any(axis=1)]
+
+
+@pytest.mark.parametrize("q", GRID_FIELDS + (16, 25))
+def test_canonicalize_many_matches_scan_row_by_row(q):
+    # the suite_point_counts grid, char-divides-weight spaces included
+    fq = field_from_spec(str(q))
+    rng = np.random.default_rng(q)
+    max_entry = 6 if q < 10 else 4
+    for m in range(1, 4):
+        for ws in _weight_tuples(max_entry, m + 1):
+            rows = _drawn_rows(rng, q, m + 1, 12)
+            got = space(ws, fq).canonicalize_many(rows)
+            ref = ScanSpace(ws, fq)
+            want = [ref.canonicalize(r).coords for r in rows.tolist()]
+            assert got.dtype == np.int64 and got.shape == rows.shape
+            assert [tuple(r) for r in got.tolist()] == want, (ws, q)
+
+
+@st.composite
+def spaces_and_rows(draw):
+    fq, ws, raw = draw(spaces_and_tuples())
+    rows = draw(st.lists(st.lists(st.integers(0, fq.q - 1), min_size=len(ws),
+                                  max_size=len(ws)).filter(any),
+                         min_size=0, max_size=8))
+    return fq, ws, [raw] + rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_and_rows())
+def test_canonicalize_many_matches_scan_on_drawn_rows(case):
+    fq, ws, rows = case
+    sp, ref = space(ws, fq), ScanSpace(ws, fq)
+    got = sp.canonicalize_many(rows).tolist()
+    assert [tuple(r) for r in got] == [ref.canonicalize(r).coords
+                                       for r in rows]
+    assert [sp.canonicalize(r).coords for r in rows] == \
+        [tuple(r) for r in got]
+
+
+def test_canonicalize_many_of_the_points_is_the_identity():
+    sp = space((1, 2, 3), GF(7))
+    coords = sp.point_coords()
+    assert _same_array(sp.canonicalize_many(coords), coords)
+    assert sp.canonicalize_many(np.zeros((0, 3), np.int64)).shape == (0, 3)
+
+
 @pytest.mark.parametrize("spec", ["2^16", "3^10"])
 def test_canonicalize_on_large_fields(spec):
     fq = field_from_spec(spec)
@@ -199,6 +256,25 @@ def test_canonicalize_rejects_non_elements():
             sp.canonicalize(raw)
         with pytest.raises(ValueError):
             sp.orbit_size(raw)
+
+
+@pytest.mark.parametrize("raw,message", [
+    ((1, 1, 1), "(1, 1, 1) is not a tuple of 2 elements of GF(3)"),   # width
+    ((1,), "(1,) is not a tuple of 2 elements of GF(3)"),
+    ((3, 1), "(3, 1) is not a tuple of 2 elements of GF(3)"),   # not in GF(3)
+    ((-1, 1), "(-1, 1) is not a tuple of 2 elements of GF(3)"),
+    ((0, 0), "the zero tuple does not represent a point"),
+])
+def test_refusals_keep_the_scalar_messages(raw, message):
+    # the messages of the scalar walk, for one row and for a row of a batch
+    sp = space((1, 2), GF(3))
+    calls = [lambda: sp.canonicalize(raw), lambda: sp.orbit_size(raw)]
+    if len(raw) == 2:
+        calls.append(lambda: sp.canonicalize_many([(1, 2), raw, (2, 2)]))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 # -- orbit_size against the lexsort count it replaced ----------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wprm.finite_field import GF, field_from_spec
-from wprm.weighted_space import (BudgetExceeded, WeightSystem,
+from wprm.verify import _reduction_steps
+from wprm.weighted_space import (BudgetExceeded, WeightSystem, WeightedPoint,
                                  WeightedProjectiveSpace, as_weights,
                                  canonicalize, delorme_normalize,
                                  delorme_reduce, enumerate_points,
@@ -124,9 +125,8 @@ def test_delorme_bijection_extension_field():
     fq = field_from_spec("4")
     step = delorme_reduce((1, 3, 3), 0, 3)
     src, red = space(step.source, fq), space(step.reduced, fq)
-    image = {step.map_point(fq, pt) for pt in src.points()}
-    assert image == set(red.points())
-    assert len(image) == len(src.points())
+    image = step.map_points(fq, src.point_coords())
+    assert (image[np.lexsort(image.T[::-1])] == red.point_coords()).all()
 
 
 def test_zero_tuple_rejected():
@@ -216,9 +216,45 @@ def test_delorme_point_bijection():
     fq = GF(3)
     step = delorme_reduce((2, 1, 2), 1, 2)
     src, red = space((2, 1, 2), fq), space((1, 1, 1), fq)
-    image = {step.map_point(fq, pt) for pt in src.points()}
-    assert image == set(red.points())
+    image = step.map_points(fq, src.point_coords())
+    assert {tuple(r) for r in image.tolist()} == \
+        {pt.coords for pt in red.points()}
     assert len(image) == len(src.points()) == red.expected_point_count
+
+
+def map_coords(step, field, coords) -> tuple[int, ...]:
+    return tuple(
+        field.pow(int(c), step.b) if j == step.index else int(c)
+        for j, c in enumerate(coords))
+
+
+def map_point(step, field, pt: WeightedPoint) -> WeightedPoint:
+    """The scalar point map that `DelormeStep.map_points` replaced, kept
+    verbatim (as a function of the step) as its reference."""
+    return space(step.reduced, field).canonicalize(
+        map_coords(step, field, pt.coords))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_map_points_matches_the_scalar_map_row_by_row(q):
+    # every step of the default delorme grid, in source point order
+    fq = field_from_spec(str(q))
+    for source, i, b in _reduction_steps(4, 3):
+        step = delorme_reduce(source, i, b)
+        src = space(source, fq)
+        got = step.map_points(fq, src.point_coords())
+        assert got.dtype == np.int64
+        assert [tuple(r) for r in got.tolist()] == \
+            [map_point(step, fq, pt).coords for pt in src.points()], step
+
+
+def test_map_points_leaves_its_input_alone():
+    fq = GF(5)
+    step = delorme_reduce((2, 1, 2), 1, 2)
+    coords = space(step.source, fq).point_coords()
+    before = coords.copy()
+    step.map_points(fq, coords)
+    assert (coords == before).all()
 
 
 def test_delorme_commutes_with_zero_sets():
@@ -235,9 +271,11 @@ def test_delorme_commutes_with_zero_sets():
                                                  coeffs)
         G = step.transform_poly(F)
         assert G.degree == 2
-        for pt in src.points():
-            lhs = F.evaluate(pt.coords) == 0
-            rhs = G.evaluate(step.map_point(fq, pt).coords) == 0
+        coords = src.point_coords()
+        images = step.map_points(fq, coords)
+        for row, image in zip(coords.tolist(), images.tolist()):
+            lhs = F.evaluate(tuple(row)) == 0
+            rhs = G.evaluate(tuple(image)) == 0
             assert lhs == rhs
 
 
