@@ -26,13 +26,19 @@ echelon step mod q - 1 gives, and the next coordinate moves under that.
 None of this depends on the values, only on the generators, so the canonical
 tuples are exactly the Cartesian product of the sets M_j of least units of
 the g_j cosets.  For points the group is the scalings above, one generator
-row on each support S; enumeration builds that product stratum by stratum,
-in work and memory proportional to the p_m points.  Canonicalisation is a
+row c_j = a_j/g' on each support S, and its chain has a closed form: the
+widths are g_j = gcd(L_j c_j, q - 1), with L_0 = 1 and L_{j+1} =
+L_j (q - 1)/g_j, taken in order over the coordinates of S.  So the points
+depend only on the width table, one row of g_j per support (0 off it), and
+enumeration is one product of coset minima per row, sorted by base-q key,
+in work and memory proportional to the p_m points; spaces with equal
+tables share one read-only array.  Canonicalisation is a
 batch walk of the same chains: the rows of an (N, m+1) array are grouped by
 support, and each group walks its chain once, one link per column, over all
 of its rows together.  The exhaustive max-zeros sweep (`zero_sets`) builds
-its chains with the same builder, from the torus characters of the
-coefficients it normalises.
+its chains with `stabiliser_chain`, from the torus characters of the
+coefficients it normalises, and its high parts with the points' product
+builder, `coset_product_keys`.
 """
 
 from __future__ import annotations
@@ -210,6 +216,68 @@ def stabiliser_chain(gens: tuple[tuple[int, ...], ...],
     return tuple(links)
 
 
+def _width_table(weights: tuple[int, ...],
+                 field: FiniteField) -> tuple[tuple[int, ...], ...]:
+    """The chain widths of the scalings of every support, in closed form.
+
+    Row bits - 1 belongs to the support of the set bits of bits, one entry
+    per coordinate and 0 off the support.  The one generator row c_j =
+    a_j/g' of a support walks the chain of `stabiliser_chain` as
+    w_j = gcd(L_j c_j, q - 1) with L_0 = 1 and L_{j+1} = L_j (q - 1)/w_j.
+    The support gcd g differs from g' by a power of p, a unit mod q - 1, so
+    a_j/g gives the same widths; the gcds come one bit at a time from a
+    smaller support's.
+    """
+    npos, n1 = len(weights), field.q - 1
+    gcds = [0] * (1 << npos)
+    table = []
+    for bits in range(1, 1 << npos):
+        low = bits & -bits
+        gcds[bits] = g = math.gcd(gcds[bits ^ low],
+                                  weights[low.bit_length() - 1])
+        row, stride = [0] * npos, 1
+        for i, a in enumerate(weights):
+            if bits >> i & 1:
+                row[i] = w = math.gcd(stride * (a // g), n1)
+                stride *= n1 // w
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def coset_product_keys(field: FiniteField, widths) -> np.ndarray:
+    """The sorted base-q keys of the products the width rows give.
+
+    Entry j of a row is the width of the cosets whose least units
+    (`_coset_minima`) digit j runs over, or 0 for a digit fixed at 0; digit
+    0 is the most significant, and each row contributes the Cartesian
+    product of its digits' sets.  Keys past int64 are refused before any is
+    built.
+    """
+    q, ncols = field.q, len(widths[0])
+    if q ** ncols > 1 << 63:
+        raise ValueError(f"keys of {ncols} digits over GF({q}) overflow int64")
+    parts = []
+    for row in widths:
+        keys = np.zeros(1, dtype=np.int64)
+        for j, width in enumerate(row):
+            if width:
+                minima = _coset_minima(field, width)[1]
+                keys = (keys[:, None] + minima * q ** (ncols - 1 - j)).ravel()
+        parts.append(keys)
+    return np.sort(np.concatenate(parts))
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_points(field: FiniteField, widths) -> np.ndarray:
+    """The canonical points of a width table, lex ascending, as a read-only
+    (n, m+1) array that every space with this table shares."""
+    keys = coset_product_keys(field, widths)
+    radix = field.q ** np.arange(len(widths[0]) - 1, -1, -1, dtype=np.int64)
+    points = keys[:, None] // radix % field.q
+    points.flags.writeable = False
+    return points
+
+
 class WeightedProjectiveSpace:
     """P(a)(F_q) with cached canonical point enumeration."""
 
@@ -254,10 +322,19 @@ class WeightedProjectiveSpace:
                                 self.field)
 
     def _checked(self, coords) -> np.ndarray:
-        # The rows of coords as a new int64 array, refusing a zero row and
-        # rows that are not tuples of field elements, naming the first.
-        rows = np.array(coords, dtype=np.int64)
+        # The rows of coords as a new int64 array, refusing input that is
+        # not a 2-d integer array, a zero row and rows that are not tuples
+        # of field elements, naming the first.
+        rows = np.array(coords)
         npos = len(self.ws)
+        if rows.ndim != 2:
+            raise ValueError(f"expected rows of {npos} elements of "
+                             f"GF({self.q}), got an array of shape "
+                             f"{rows.shape}")
+        if rows.size and rows.dtype.kind not in "iu":
+            raise ValueError(f"coordinates must be integers, not "
+                             f"{rows.dtype}")
+        rows = rows.astype(np.int64)
         bad = (rows.shape[1] != npos) | ((rows < 0) | (rows >= self.q)).any(1)
         if bad.any():
             raise ValueError(f"{tuple(rows[bad.argmax()].tolist())} is not a "
@@ -348,20 +425,7 @@ class WeightedProjectiveSpace:
                 f"{self.expected_point_count} points of {npos} coordinates, "
                 f"{entries} array entries, over the tuple budget of "
                 f"{tuple_budget}")
-        strata = []  # transposed: one row per coordinate
-        for bits in range(1, 1 << npos):
-            support = tuple(i for i in range(npos) if bits >> i & 1)
-            chain = self._chain(support)
-            count = math.prod(link.width for link in chain)
-            block = np.zeros((npos, count), dtype=np.int64)
-            after = count
-            for i, link in zip(support, chain):  # M_j varies slowest for j = 0
-                after //= link.width
-                block[i].reshape(-1, link.width, after)[:] = \
-                    link.minima[:, None]
-            strata.append(block)
-        coords = np.concatenate(strata, axis=1)
-        return coords[:, np.lexsort(coords[::-1])].T.copy()
+        return _canonical_points(f, _width_table(self.ws.weights, f))
 
     def stratum_sizes(self) -> list[int]:
         """Point counts of the strata W_i (first nonzero coordinate = i)."""

@@ -23,8 +23,9 @@ leading coefficient is scaled back to 1.  When the sweep knows the basis
 exponents, it visits for each leading position only the high parts that are
 lex-least in their torus orbit: per support of the high digits, the
 characters beta_j - alpha_lead restricted to it generate a stabiliser chain
-(`weighted_space.stabiliser_chain`, the builder point enumeration uses), and
-the canonical high parts are the Cartesian product of its coset minima.  The
+(`weighted_space.stabiliser_chain`), and the canonical high parts are the
+Cartesian product of its coset minima, built from the chain widths by
+`weighted_space.coset_product_keys`, as the points are.  The
 low table stays complete, so every orbit of full tails keeps a visited
 member, and the first maximiser in (lead, tail) order is lex-least in its
 orbit, so it is visited: values, witnesses and tie-breaks are those of the
@@ -54,7 +55,8 @@ import numpy as np
 
 from .finite_field import FiniteField
 from .weighted_space import (BudgetExceeded, WeightedProjectiveSpace, as_weights,
-                             projective_count, space, stabiliser_chain)
+                             coset_product_keys, projective_count, space,
+                             stabiliser_chain)
 from .weighted_poly import WeightedPolynomial, monomial_basis, monomial_values
 
 DEFAULT_CANDIDATE_BUDGET = 10 ** 8
@@ -195,7 +197,7 @@ class _LeadPlan(NamedTuple):
 
     cols: int      # low parts per high part
     hw: int        # high digits after the leading 1
-    chains: tuple | None  # (positions, chain) per high support; None: all
+    widths: tuple | None  # chain width row per high support; None: all
     visited: int   # tails visited
 
 
@@ -253,30 +255,27 @@ def _sweep_plan(k: int, L: int, field: FiniteField, exponents) -> _SweepPlan:
         alpha = exponents[lead]
         chars = [[(b - a) % n1 for b, a in zip(exponents[lead + 1 + p], alpha)]
                  for p in range(hw)]
-        chains, count = [], 0
+        widths, count = [], 0
         for mask in range(1 << hw):
             positions = tuple(p for p in range(hw) if mask >> p & 1)
             chain = stabiliser_chain(
                 tuple(zip(*(chars[p] for p in positions))), field)
-            chains.append((positions, chain))
+            row = [0] * hw
+            for p, link in zip(positions, chain):
+                row[p] = link.width
+            widths.append(tuple(row))
             count += math.prod(link.width for link in chain)
-        leads.append(_LeadPlan(cols, hw, tuple(chains), cols * count))
+        leads.append(_LeadPlan(cols, hw, tuple(widths), cols * count))
     return _SweepPlan(tuple(leads), sum(lp.visited for lp in leads))
 
 
-def _canonical_highs(plan: _LeadPlan, q: int) -> np.ndarray:
+def _canonical_highs(plan: _LeadPlan, field: FiniteField) -> np.ndarray:
     """The high parts a lead visits, ascending: all q^hw of them for a lead
     without a torus plan, else per support the Cartesian product of its
     links' coset minima, the first digit most significant."""
-    if plan.chains is None:
-        return np.arange(q ** plan.hw, dtype=np.int64)
-    parts = []
-    for positions, chain in plan.chains:
-        h = np.zeros(1, dtype=np.int64)
-        for p, link in zip(positions, chain):
-            h = (h[:, None] + link.minima * q ** (plan.hw - 1 - p)).ravel()
-        parts.append(h)
-    return np.sort(np.concatenate(parts))
+    if plan.widths is None:
+        return np.arange(field.q ** plan.hw, dtype=np.int64)
+    return coset_product_keys(field, plan.widths)
 
 
 def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
@@ -323,7 +322,7 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
             if 0 < width <= L:
                 T = _extend_table(T, V[k - width], field)
             lp = plan.leads[lead]
-            highs = _canonical_highs(lp, q)
+            highs = _canonical_highs(lp, field)
             # Only a lead worth a pool asks how many workers there are.
             workers = _resolve_jobs(jobs) \
                 if lp.visited * n >= _PARALLEL_MIN else 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wprm import weighted_space
+from wprm.codes import F19_WEIGHT_SYSTEMS
 from wprm.finite_field import GF, field_from_spec
 from wprm.verify import _weight_tuples
 from wprm.weighted_space import (BudgetExceeded, WeightedPoint,
@@ -92,6 +93,36 @@ class ScanSpace(WeightedProjectiveSpace):
         return np.concatenate(chunks, axis=0)
 
 
+class ChainSpace(WeightedProjectiveSpace):
+    """The per-support chain enumeration that the width table replaced,
+    kept verbatim as the reference."""
+
+    def _enumerate(self, tuple_budget: int) -> np.ndarray:
+        f = self.field
+        npos = len(self.ws)
+        entries = self.expected_point_count * npos
+        if entries > tuple_budget:
+            raise BudgetExceeded(
+                f"enumerating P{self.ws.weights} over GF({f.q}) builds "
+                f"{self.expected_point_count} points of {npos} coordinates, "
+                f"{entries} array entries, over the tuple budget of "
+                f"{tuple_budget}")
+        strata = []  # transposed: one row per coordinate
+        for bits in range(1, 1 << npos):
+            support = tuple(i for i in range(npos) if bits >> i & 1)
+            chain = self._chain(support)
+            count = math.prod(link.width for link in chain)
+            block = np.zeros((npos, count), dtype=np.int64)
+            after = count
+            for i, link in zip(support, chain):  # M_j varies slowest for j = 0
+                after //= link.width
+                block[i].reshape(-1, link.width, after)[:] = \
+                    link.minima[:, None]
+            strata.append(block)
+        coords = np.concatenate(strata, axis=1)
+        return coords[:, np.lexsort(coords[::-1])].T.copy()
+
+
 # -- enumeration: byte-identical to the scan ----------------------------------------------
 
 
@@ -129,14 +160,111 @@ def test_enumeration_matches_scan_on_larger_fields(ws, q):
 def test_budget_counts_the_entries_built(monkeypatch):
     # P(1,2,3)/F7 builds 57 points of 3 coordinates: 171 entries
     sp = WeightedProjectiveSpace((1, 2, 3), GF(7))
-    chains = []
-    monkeypatch.setattr(weighted_space, "stabiliser_chain",
-                        lambda *args: chains.append(args))
+    calls = []
+    for name in ("_width_table", "_canonical_points"):
+        real = getattr(weighted_space, name)
+        monkeypatch.setattr(weighted_space, name,
+                            lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
     with pytest.raises(BudgetExceeded, match="171 array entries"):
         sp.point_coords(tuple_budget=170)
-    assert sp._coords is None and not chains  # refused before any work
-    monkeypatch.undo()
+    assert sp._coords is None and not calls  # refused before any work
     assert sp.point_coords(tuple_budget=171).shape == (57, 3)
+    assert calls == ["_width_table", "_canonical_points"]  # the work refused
+
+
+# -- the width table and the shared product ----------------------------------------------
+
+
+# The geometry workload's point spaces, and the spaces of its `table` runs.
+GEOMETRY_SPACES = [((1, 2, 3), "64"), ((1, 2, 3), "81"), ((1, 2, 3), "101"),
+                   ((1, 1, 2, 3), "16"), ((1, 1, 2, 3), "17"),
+                   ((2, 3, 5), "49")] + [
+    (ws, q) for q in ("16", "19", "25", "31")
+    for ws in ((1, 1, 1),) + F19_WEIGHT_SYSTEMS]
+
+
+@pytest.mark.parametrize("q", GRID_FIELDS)
+def test_enumeration_matches_chain_walk_on_point_count_grid(q):
+    fq = field_from_spec(str(q))
+    for m in range(1, 4):
+        for ws in _weight_tuples(6, m + 1):
+            got = WeightedProjectiveSpace(ws, fq).point_coords()
+            want = ChainSpace(ws, fq).point_coords()
+            assert _same_array(got, want), (ws, q)
+
+
+@pytest.mark.parametrize("ws,q", GEOMETRY_SPACES)
+def test_enumeration_matches_chain_walk_on_geometry_spaces(ws, q):
+    fq = field_from_spec(q)
+    got = WeightedProjectiveSpace(ws, fq).point_coords()
+    assert _same_array(got, ChainSpace(ws, fq).point_coords())
+
+
+WIDTH_FIELDS = [GF(2), GF(3), GF(2, 2), GF(7), GF(2, 3), GF(3, 2), GF(2, 4),
+                GF(5, 2), GF(7, 2), GF(101), GF(2, 16)]
+
+
+@st.composite
+def width_cases(draw):
+    fq = draw(st.sampled_from(WIDTH_FIELDS))
+    npos = draw(st.integers(1, 4))
+    # weights past q, multiples of p and divisors of q - 1, then divided by
+    # their gcd, which keeps most multiples of p
+    weight = st.one_of(st.integers(1, 3 * fq.q),
+                       st.integers(1, 12).map(lambda a: a * fq.p),
+                       st.sampled_from(_divisors(fq.q - 1)[:12]))
+    ws = draw(st.lists(weight, min_size=npos, max_size=npos))
+    g = math.gcd(*ws)
+    return fq, tuple(a // g for a in ws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(width_cases())
+def test_width_table_is_the_chain_widths(case):
+    fq, ws = case
+    sp = WeightedProjectiveSpace(ws, fq)
+    table = weighted_space._width_table(ws, fq)
+    assert len(table) == 2 ** len(ws) - 1
+    for bits, row in enumerate(table, 1):
+        support = tuple(i for i in range(len(ws)) if bits >> i & 1)
+        want = [0] * len(ws)
+        for i, link in zip(support, sp._chain(support)):
+            want[i] = link.width
+        assert row == tuple(want), (ws, fq, support)
+    assert sum(math.prod(w for w in row if w) for row in table) == \
+        sp.expected_point_count
+
+
+def test_equal_width_tables_share_one_read_only_array():
+    # Over F_3 the supports of P(1,2) and P(1,4) have the same chain widths.
+    fq = GF(3)
+    a, b = space((1, 2), fq), space((1, 4), fq)
+    assert weighted_space._width_table(a.ws.weights, fq) == \
+        weighted_space._width_table(b.ws.weights, fq)
+    assert a.point_coords() is b.point_coords()
+    assert not a.point_coords().flags.writeable
+
+
+def test_shared_points_cannot_be_written():
+    coords = space((1, 2, 3), GF(7)).point_coords()
+    with pytest.raises(ValueError):
+        coords[0, 2] = 6
+    assert space((1, 2, 3), GF(7)).point_coords()[0].tolist() == [0, 0, 1]
+
+
+def test_product_keys_refuse_int64_overflow_before_building(monkeypatch):
+    calls = []
+    monkeypatch.setattr(weighted_space, "_coset_minima",
+                        lambda *args: calls.append(args))
+    for fq, ncols in [(GF(2, 16), 5), (GF(2, 16), 4), (GF(2), 64)]:
+        with pytest.raises(ValueError, match="overflow int64"):
+            weighted_space.coset_product_keys(fq, ((1,) * ncols,))
+    assert not calls
+    monkeypatch.undo()
+    # 2^63 - 1 is the largest key: 63 binary digits still fit
+    keys = weighted_space.coset_product_keys(GF(2), ((1,) * 63,))
+    assert keys.tolist() == [(1 << 63) - 1]
 
 
 # -- canonicalisation: properties and the scan's scalar reference -------------------------
@@ -256,6 +384,21 @@ def test_canonicalize_rejects_non_elements():
             sp.canonicalize(raw)
         with pytest.raises(ValueError):
             sp.orbit_size(raw)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sp: sp.canonicalize((1.5, 2, 3)),        # not truncated to 1
+    lambda sp: sp.representatives((2.7, 0, 0)),
+    lambda sp: sp.orbit_size((1.0, 2, 3)),
+    lambda sp: sp.canonicalize((True, False, True)),
+    lambda sp: sp.canonicalize_many(np.ones((2, 3))),
+    lambda sp: sp.canonicalize_many([]),            # no rows, no width
+    lambda sp: sp.canonicalize_many((1, 2, 3)),     # one row, not a batch
+    lambda sp: sp.canonicalize_many(np.ones((1, 1, 3), np.int64)),
+])
+def test_non_integer_or_misshapen_input_is_refused(call):
+    with pytest.raises(ValueError):
+        call(space((1, 2, 3), GF(7)))
 
 
 @pytest.mark.parametrize("raw,message", [

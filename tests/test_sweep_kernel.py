@@ -137,7 +137,7 @@ def test_scan_block_memory_is_bounded_by_cells():
     k, n = V.shape
     L = zs._low_width(fq.q, k, n)
     lead = zs._sweep_plan(k, L, fq, tuple(monomial_basis(ws, d))).leads[1]
-    highs = zs._canonical_highs(lead, fq.q)
+    highs = zs._canonical_highs(lead, fq)
     assert (n, L, len(highs)) == (10303, 0, 10412)
     T = np.zeros((n, 1), dtype=np.uint8)
     tracemalloc.start()

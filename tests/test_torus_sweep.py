@@ -7,13 +7,14 @@ import io
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wprm.zero_sets as zs
-from wprm import cli
+from wprm import cli, verify
 from wprm.finite_field import GF
 from wprm.verify import _plane_pairs, _reduction_steps
 from wprm.weighted_space import BudgetExceeded, space, stabiliser_chain
@@ -256,8 +257,8 @@ def test_scan_of_visited_high_parts_on_random_tail_ranges(case, data):
         L = zs._low_width(fq.q, k, n)
         lead = data.draw(st.integers(0, k - 1))
         lp = zs._sweep_plan(k, L, fq, basis).leads[lead]
-        assume(lp.chains is not None)
-        highs = zs._canonical_highs(lp, fq.q)
+        assume(lp.widths is not None)
+        highs = zs._canonical_highs(lp, fq)
         assert len(highs) * lp.cols == lp.visited
         assert (np.diff(highs) > 0).all()  # sorted, no repeats
         T = np.zeros((n, 1), dtype=np.uint8)
@@ -348,6 +349,94 @@ def test_sweep_without_exponents_visits_every_tail():
     plan = zs._sweep_plan(6, zs._low_width(3, 6, 13), GF(3), None)
     assert plan.visited == (3 ** 6 - 1) // 2
     for lp in plan.leads:
-        assert lp.chains is None and lp.visited == lp.cols * 3 ** lp.hw
-        assert np.array_equal(zs._canonical_highs(lp, 3),
+        assert lp.widths is None and lp.visited == lp.cols * 3 ** lp.hw
+        assert np.array_equal(zs._canonical_highs(lp, GF(3)),
                               np.arange(3 ** lp.hw))
+
+
+# -- high parts from the width rows against the chain product they replaced ------------
+
+
+class ChainLead(NamedTuple):
+    hw: int
+    chains: tuple  # (positions, chain) per high support
+
+
+def chain_lead(plan_args, lead: int) -> ChainLead:
+    """The chains the sweep plan of one leading position used to keep."""
+    k, L, field, exponents = plan_args
+    n1 = field.q - 1
+    hw = zs._lead_shape(field.q, k, L, lead)[1]
+    alpha = exponents[lead]
+    chars = [[(b - a) % n1 for b, a in zip(exponents[lead + 1 + p], alpha)]
+             for p in range(hw)]
+    chains = []
+    for mask in range(1 << hw):
+        positions = tuple(p for p in range(hw) if mask >> p & 1)
+        chain = stabiliser_chain(
+            tuple(zip(*(chars[p] for p in positions))), field)
+        chains.append((positions, chain))
+    return ChainLead(hw, tuple(chains))
+
+
+def chain_canonical_highs(plan, q: int) -> np.ndarray:
+    """The high parts a lead visits, ascending: all q^hw of them for a lead
+    without a torus plan, else per support the Cartesian product of its
+    links' coset minima, the first digit most significant."""
+    if plan.chains is None:
+        return np.arange(q ** plan.hw, dtype=np.int64)
+    parts = []
+    for positions, chain in plan.chains:
+        h = np.zeros(1, dtype=np.int64)
+        for p, link in zip(positions, chain):
+            h = (h[:, None] + link.minima * q ** (plan.hw - 1 - p)).ravel()
+        parts.append(h)
+    return np.sort(np.concatenate(parts))
+
+
+# The sweeps of the perfbench search workload, as `wprm` arguments.
+SEARCH_ARGV = [
+    ["eq-search", "--weights", "1,1,1", "--q", "5", "--d", "3"],
+    ["eq-search", "--weights", "1,2,3", "--q", "11", "--d", "6"],
+    ["eq-search", "--weights", "1,2,2", "--q", "11", "--d", "4"],
+    ["code", "--kind", "wprm", "--q", "7", "--m", "2", "--d", "6",
+     "--weights", "1,2,3", "--method", "both"],
+    ["code", "--kind", "prm", "--q", "3", "--m", "3", "--d", "2",
+     "--method", "both"],
+    ["eq-search", "--weights", "1,1,1", "--q", "4", "--d", "3"],
+    ["eq-search", "--weights", "1,1,1", "--q", "9", "--d", "2"],
+    ["eq-search", "--weights", "1,2,2", "--q", "8", "--d", "4"],
+    ["code", "--kind", "rm", "--q", "8", "--m", "2", "--d", "2",
+     "--method", "both"],
+    ["code", "--kind", "wprm", "--q", "9", "--m", "2", "--d", "4",
+     "--weights", "1,2,2", "--method", "both"],
+]
+
+
+def test_high_parts_match_the_chain_product_on_verify_and_search_plans(
+        monkeypatch):
+    plans = set()
+    real = zs._sweep_plan
+
+    def recording(*args):
+        plans.add(args)
+        return real(*args)
+
+    monkeypatch.setattr(zs, "_sweep_plan", recording)
+    for suite in ("classical-max", "plane-max", "delorme", "code-distance"):
+        assert verify.SUITES[suite]().ok
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in SEARCH_ARGV:
+            assert cli.main([*argv, "--format", "json", "--jobs", "1"]) == 0
+    torus = [args for args in plans if args[3] is not None]
+    leads = 0  # most verify sweeps have no high digits past their low table
+    for args in torus:
+        for lead, lp in enumerate(real(*args).leads):
+            if lp.widths is None:
+                continue
+            want = chain_canonical_highs(chain_lead(args, lead), args[2].q)
+            got = zs._canonical_highs(lp, args[2])
+            assert got.dtype == want.dtype and \
+                got.tobytes() == want.tobytes(), (args, lead)
+            leads += 1
+    assert len(torus) > 100 and leads > 50
