@@ -2,9 +2,14 @@
 
 Subcommands: points, count-zeros, eq-search, family, lines, code, table,
 verify.  Every number in a report comes from a library call; the CLI only
-parses, dispatches and formats.  Reports are deterministic for a fixed
-argument list and seed.  WPRM_JOBS caps worker processes for the big sweeps
-(default: machine parallelism; small sweeps always run serially).
+parses, dispatches and formats.  The argparse namespace is the only
+configuration: the parser parses every option, weight and exponent lists
+included, so a malformed one is a usage error, and each command reads its
+own options from it (field sizes stay text for `field_from_spec`).  `verify`
+gives each suite the given options that its signature takes.
+Reports are deterministic for a fixed argument list and seed.  WPRM_JOBS
+caps worker processes for the big sweeps (default: machine parallelism;
+small sweeps always run serially).
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .finite_field import field_from_spec
 from .weighted_space import (BudgetExceeded, DEFAULT_TUPLE_BUDGET,
@@ -29,26 +34,6 @@ from .zero_sets import (DEFAULT_CANDIDATE_BUDGET, FamilySpec, PrimitivePair,
 from .plane_lines import LineSystem
 from . import codes as codes_mod
 from .verify import SUITES
-
-F19_PRESET = {"q": "19", "d": 16,
-              "weights": [",".join(map(str, w))
-                          for w in codes_mod.F19_WEIGHT_SYSTEMS]}
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: everything a report needs for reproducibility."""
-
-    subcommand: str
-    field_spec: str | None = None
-    weights: tuple[int, ...] | None = None
-    degree: int | None = None
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET
-    out: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    jobs: int | None = None
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -70,11 +55,11 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _space_for(cfg: RunConfig) -> WeightedProjectiveSpace:
+def _space_for(args) -> WeightedProjectiveSpace:
     """The shared cached space, enumerated up front under the CLI's budget;
     the budget is an argument of the call, never state on the space."""
-    sp = space(cfg.weights, field_from_spec(cfg.field_spec))
-    sp.point_coords(tuple_budget=cfg.tuple_budget)
+    sp = space(args.weights, field_from_spec(args.q))
+    sp.point_coords(tuple_budget=args.tuple_budget)
     return sp
 
 
@@ -85,8 +70,8 @@ def _space_for(cfg: RunConfig) -> WeightedProjectiveSpace:
 _CSV_ROWS = 64
 
 
-def cmd_points(cfg: RunConfig, args) -> int:
-    sp = _space_for(cfg)
+def cmd_points(args) -> int:
+    sp = _space_for(args)
     coords = sp.point_coords()
     expected = sp.expected_point_count
     sing = None
@@ -98,20 +83,20 @@ def cmd_points(cfg: RunConfig, args) -> int:
                 "dimensions": {str(p): d
                                for p, d in report.dimensions.items()},
                 "well_formed": sp.ws.is_well_formed()}
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow([f"x{i}" for i in range(len(sp.ws))])
         for lo in range(0, len(coords), _CSV_ROWS):
             w.writerows(coords[lo:lo + _CSV_ROWS].tolist())
-        _emit(buf.getvalue(), cfg.out)
-    elif cfg.fmt == "json":
+        _emit(buf.getvalue(), args.out)
+    elif args.format == "json":
         payload = {"weights": list(sp.ws.weights), "q": sp.q,
                    "count": int(coords.shape[0]), "expected": expected,
                    "char_divides_weight": sp.char_divides_weight,
                    "points": coords.tolist(),
                    "singular": sing, "seed": None}
-        _emit(_json(payload), cfg.out)
+        _emit(_json(payload), args.out)
     else:
         lines = [format_point(row) for row in coords.tolist()]
         lines.append(f"count={coords.shape[0]} expected={expected} "
@@ -120,15 +105,15 @@ def cmd_points(cfg: RunConfig, args) -> int:
             lines.append(f"singular locus: sigma={sing['sigma']} "
                          f"components={sing['components']} "
                          f"(well_formed={sing['well_formed']})")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if coords.shape[0] == expected else 1
 
 
 # -- count-zeros ------------------------------------------------------------------------
 
 
-def cmd_count_zeros(cfg: RunConfig, args) -> int:
-    sp = _space_for(cfg)
+def cmd_count_zeros(args) -> int:
+    sp = _space_for(args)
     poly = parse_polynomial(args.poly, sp.ws, sp.field)
     value = count_zeros(poly, sp)
     payload = {"weights": list(sp.ws.weights), "q": sp.q, "d": poly.degree,
@@ -137,13 +122,13 @@ def cmd_count_zeros(cfg: RunConfig, args) -> int:
     if sp.ws[0] == 1:
         payload["affine_value"] = count_zeros_affine(poly, sp)
     if args.bounds:
-        budget = cfg.candidate_budget if args.sharp else None
+        budget = args.budget if args.sharp else None
         payload["bounds"] = [
             {"name": r.name, "value": r.value, "bound": r.bound,
              "satisfied": r.satisfied, "sharp": r.sharp}
             for r in check_bounds(poly, sp, oracle_budget=budget)]
-    if cfg.fmt == "json":
-        _emit(_json(payload), cfg.out)
+    if args.format == "json":
+        _emit(_json(payload), args.out)
     else:
         lines = [f"|V(F)| = {value} on P{sp.ws.weights}(F_{sp.q}), "
                  f"degree {poly.degree}"]
@@ -152,55 +137,51 @@ def cmd_count_zeros(cfg: RunConfig, args) -> int:
         for r in payload.get("bounds", []):
             lines.append(f"bound {r['name']}: {r['value']} <= {r['bound']} "
                          f"satisfied={r['satisfied']} sharp={r['sharp']}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 # -- eq-search ---------------------------------------------------------------------------
 
 
-def cmd_eq_search(cfg: RunConfig, args) -> int:
-    fq = field_from_spec(cfg.field_spec)
-    ws = as_weights(cfg.weights)
-    result = max_zeros(ws, fq, cfg.degree, budget=cfg.candidate_budget,
-                       jobs=cfg.jobs)
-    payload = {"weights": list(ws.weights), "d": cfg.degree, "q": fq.q,
+def cmd_eq_search(args) -> int:
+    fq = field_from_spec(args.q)
+    ws = as_weights(args.weights)
+    result = max_zeros(ws, fq, args.d, budget=args.budget, jobs=args.jobs)
+    payload = {"weights": list(ws.weights), "d": args.d, "q": fq.q,
                "defined": result.defined,
                "value": result.value,
                "candidates": result.candidates,
                "visited": result.visited,
                "witness_polynomial": (format_polynomial(result.witness)
                                       if result.witness else None),
-               "lower_bound": max_zeros_lower_bound(ws, cfg.degree, fq.q),
+               "lower_bound": max_zeros_lower_bound(ws, args.d, fq.q),
                "seed": None}
-    if cfg.fmt == "json":
-        _emit(_json(payload), cfg.out)
+    if args.format == "json":
+        _emit(_json(payload), args.out)
     else:
         if not result.defined:
             _emit(f"max zeros undefined: no monomials of degree "
-                  f"{cfg.degree} on P{ws.weights}\n", cfg.out)
+                  f"{args.d} on P{ws.weights}\n", args.out)
         else:
             _emit(f"max zeros = {result.value} over {result.candidates} "
                   f"candidate classes ({result.visited} tails visited) on "
-                  f"P{ws.weights}(F_{fq.q}), degree {cfg.degree}\nwitness: "
+                  f"P{ws.weights}(F_{fq.q}), degree {args.d}\nwitness: "
                   f"{format_polynomial(result.witness)}\n"
-                  f"lower bound: {payload['lower_bound']}\n", cfg.out)
+                  f"lower bound: {payload['lower_bound']}\n", args.out)
     return 0
 
 
 # -- family ------------------------------------------------------------------------------
 
 
-def cmd_family(cfg: RunConfig, args) -> int:
-    fq = field_from_spec(cfg.field_spec)
-    ws = as_weights(cfg.weights)
-    pair = PrimitivePair(_parse_weights(args.m0), _parse_weights(args.m1))
-    if args.t:
-        t = _parse_weights(args.t)
-    else:
-        t = tuple(range(1, args.ell + 1))
-    mu0 = _parse_weights(args.mu0) if args.mu0 else (0,) * len(ws)
-    mu1 = _parse_weights(args.mu1) if args.mu1 else (0,) * len(ws)
+def cmd_family(args) -> int:
+    fq = field_from_spec(args.q)
+    ws = as_weights(args.weights)
+    pair = PrimitivePair(args.m0, args.m1)
+    t = args.t or tuple(range(1, args.ell + 1))
+    mu0 = args.mu0 or (0,) * len(ws)
+    mu1 = args.mu1 or (0,) * len(ws)
     spec = FamilySpec(pair, t, mu0, mu1)
     poly = build_family(spec, ws, fq)
     sp = space(ws, fq)
@@ -214,39 +195,39 @@ def cmd_family(cfg: RunConfig, args) -> int:
                "polynomial": format_polynomial(poly),
                "count": brute, "closed_form": closed,
                "agree": brute == closed, "seed": None}
-    if cfg.fmt == "json":
-        _emit(_json(payload), cfg.out)
+    if args.format == "json":
+        _emit(_json(payload), args.out)
     else:
         _emit(f"F = {payload['polynomial']}\ndegree {poly.degree}, "
               f"signature ({pair.s0},{pair.s1}), sigma "
               f"({spec.sigma0},{spec.sigma1}), ell={spec.ell}\n"
               f"zeros: counted {brute}, closed form {closed}, "
-              f"agree={brute == closed}\n", cfg.out)
+              f"agree={brute == closed}\n", args.out)
     return 0 if brute == closed else 1
 
 
 # -- lines --------------------------------------------------------------------------------
 
 
-def cmd_lines(cfg: RunConfig, args) -> int:
-    sp = _space_for(cfg)
+def cmd_lines(args) -> int:
+    sp = _space_for(args)
     ls = LineSystem(sp)
     lines = ls.lines()
     by_type = {str(kind): sum(1 for l in lines if l.kind == kind)
                for kind in (0, 1, 2)}
     payload = {"weights": list(sp.ws.weights), "q": sp.q,
                "catalog": len(lines), "by_type": by_type,
-               "seed": cfg.seed}
+               "seed": args.seed}
     rc = 0
     if args.check:
         from .verify import suite_lines
         res = suite_lines(qs=(sp.q,), weight_systems=[sp.ws.weights],
-                          seed=cfg.seed)
+                          seed=args.seed)
         payload["checks"] = res.checks
         payload["failures"] = res.failures
         rc = 0 if res.ok else 1
-    if cfg.fmt == "json":
-        _emit(_json(payload), cfg.out)
+    if args.format == "json":
+        _emit(_json(payload), args.out)
     else:
         out = [f"P{sp.ws.weights}(F_{sp.q}): {len(lines)} lines "
                f"({by_type['0']} at infinity, {by_type['1']} vertical, "
@@ -254,24 +235,23 @@ def cmd_lines(cfg: RunConfig, args) -> int:
         if args.check:
             out.append(f"incidence suite: {payload['checks']} checks, "
                        f"{len(payload['failures'])} failures "
-                       f"(seed={cfg.seed})")
+                       f"(seed={args.seed})")
             out += [f"  counterexample: {f}" for f in payload["failures"]]
-        _emit("\n".join(out) + "\n", cfg.out)
+        _emit("\n".join(out) + "\n", args.out)
     return rc
 
 
 # -- code ---------------------------------------------------------------------------------
 
 
-def cmd_code(cfg: RunConfig, args) -> int:
-    fq = field_from_spec(cfg.field_spec)
-    inst = codes_mod.build_code(args.kind, fq, args.m, cfg.degree,
-                                cfg.weights if args.kind == "wprm" else None)
-    params = codes_mod.code_parameters(inst, args.method,
-                                       budget=cfg.candidate_budget,
-                                       jobs=cfg.jobs)
-    payload = {"kind": args.kind, "q": fq.q, "m": args.m, "d": cfg.degree,
-               "weights": list(cfg.weights) if cfg.weights else None,
+def cmd_code(args) -> int:
+    fq = field_from_spec(args.q)
+    inst = codes_mod.build_code(args.kind, fq, args.m, args.d,
+                                args.weights if args.kind == "wprm" else None)
+    params = codes_mod.code_parameters(inst, args.method, budget=args.budget,
+                                       jobs=args.jobs)
+    payload = {"kind": args.kind, "q": fq.q, "m": args.m, "d": args.d,
+               "weights": list(args.weights) if args.weights else None,
                "n": params.n, "k": params.k, "d_min": params.d_min,
                "d_min_source": params.d_min_source,
                "d_min_exact": params.exact,
@@ -284,14 +264,14 @@ def cmd_code(cfg: RunConfig, args) -> int:
     if args.matrix_out:
         with open(args.matrix_out, "w") as fh:
             fh.write(codes_mod.export_generator_matrix(inst))
-    if cfg.fmt == "json":
-        _emit(_json(payload), cfg.out)
+    if args.format == "json":
+        _emit(_json(payload), args.out)
     else:
         tag = "" if params.exact else " (upper bound only)"
         _emit(f"[{params.n},{params.k},{params.d_min}]_{fq.q}{tag} via "
               f"{params.d_min_source}; lambda = "
               f"{codes_mod.lambda_display(params.lam)} = {params.lam}\n",
-              cfg.out)
+              args.out)
     return 0
 
 
@@ -312,19 +292,27 @@ def table_csv(entries) -> str:
     return buf.getvalue()
 
 
-def cmd_table(cfg: RunConfig, args) -> int:
-    fq = field_from_spec(cfg.field_spec)
-    systems = ([_parse_weights(w) for w in args.weights]
-               if args.weights else codes_mod.F19_WEIGHT_SYSTEMS)
-    entries = codes_mod.comparison_table(fq, args.m, cfg.degree, systems,
+def cmd_table(args) -> int:
+    custom = args.q is not None or args.d is not None or args.weights
+    if args.f19 and custom:
+        print("--f19 is the fixed reference table; it takes no "
+              "--q/--d/--weights overrides", file=sys.stderr)
+        return 2
+    q, d = (args.q, args.d) if custom else ("19", 16)
+    if q is None or d is None:
+        print("table needs both --q and --d (or no arguments for the "
+              "reference table)", file=sys.stderr)
+        return 2
+    fq = field_from_spec(q)
+    systems = args.weights or codes_mod.F19_WEIGHT_SYSTEMS
+    entries = codes_mod.comparison_table(fq, args.m, d, systems,
                                          method=args.method,
-                                         budget=cfg.candidate_budget,
-                                         jobs=cfg.jobs)
+                                         budget=args.budget, jobs=args.jobs)
     checks = codes_mod.lambda_threshold_checks(entries)
-    if cfg.fmt == "csv":
-        _emit(table_csv(entries), cfg.out)
-    elif cfg.fmt == "json":
-        payload = {"q": fq.q, "d": cfg.degree, "m": args.m, "seed": None,
+    if args.format == "csv":
+        _emit(table_csv(entries), args.out)
+    elif args.format == "json":
+        payload = {"q": fq.q, "d": d, "m": args.m, "seed": None,
                    "rows": [{"label": e.label, "kind": e.kind,
                              "weights": list(e.weights) if e.weights else None,
                              "n": e.params.n, "k": e.params.k,
@@ -338,7 +326,7 @@ def cmd_table(cfg: RunConfig, args) -> int:
                        {"label": c.label, "a": c.a, "beta": c.beta, "k": c.k,
                         "threshold": str(c.threshold), "holds": c.holds,
                         "inequality_ok": c.inequality_ok} for c in checks]}
-        _emit(_json(payload), cfg.out)
+        _emit(_json(payload), args.out)
     else:
         rows = [f"{e.label:30s} [{e.params.n},{e.params.k},{e.params.d_min}]"
                 f"  lambda = {codes_mod.lambda_display(e.params.lam):10s}"
@@ -347,7 +335,7 @@ def cmd_table(cfg: RunConfig, args) -> int:
         for c in checks:
             rows.append(f"threshold for {c.label}: q >= {c.threshold} "
                         f"holds={c.holds} lambda_ok={c.inequality_ok}")
-        _emit("\n".join(rows) + "\n", cfg.out)
+        _emit("\n".join(rows) + "\n", args.out)
     bad = [c for c in checks if c.holds and c.inequality_ok is False]
     return 1 if bad else 0
 
@@ -355,26 +343,11 @@ def cmd_table(cfg: RunConfig, args) -> int:
 # -- verify -----------------------------------------------------------------------------------
 
 
-# The CLI options each suite takes, by keyword argument.  A suite gets a
-# listed option when the command line gives it; --seed always has a value.
-VERIFY_OPTIONS = {
-    "points": ("qs",),
-    "family-counts": ("qs", "seed"),
-    "torus": ("qs", "seed"),
-    "classical-max": ("qs",),
-    "plane-max": ("qs", "max_weight"),
-    "lines": ("qs", "seed"),
-    "bounds": ("seed", "per_bound"),
-    "delorme": ("qs", "max_weight", "seed"),
-    "code-distance": ("qs",),
-}
-
-
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else args.suite.split(",")
     given = {"qs": (tuple(int(x) for x in args.q.split(","))
                     if args.q else None),
-             "seed": cfg.seed,
+             "seed": args.seed,
              "per_bound": args.per_bound,
              "max_weight": args.max_weight}
     rc = 0
@@ -383,8 +356,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             print(f"unknown suite {name!r}; available: {', '.join(SUITES)}",
                   file=sys.stderr)
             return 2
-        res = SUITES[name](**{opt: given[opt] for opt in VERIFY_OPTIONS[name]
-                              if given[opt] is not None})
+        # inspect.signature follows __wrapped__: a traced suite takes the same.
+        suite = SUITES[name]
+        takes = inspect.signature(suite).parameters
+        res = suite(**{opt: value for opt, value in given.items()
+                       if value is not None and opt in takes})
         print(res.summary())
         for f in res.failures:
             print(f"  counterexample: {f}")
@@ -446,12 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a product family polynomial")
     common(p)
-    p.add_argument("--m0", required=True, help="exponents of M0, e.g. 1,1,0")
-    p.add_argument("--m1", required=True, help="exponents of M1")
+    p.add_argument("--m0", required=True, type=_parse_weights,
+                   help="exponents of M0, e.g. 1,1,0")
+    p.add_argument("--m1", required=True, type=_parse_weights,
+                   help="exponents of M1")
     p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--t", help="explicit distinct nonzero t values")
-    p.add_argument("--mu0", help="exponents of mu0 (default constant)")
-    p.add_argument("--mu1", help="exponents of mu1 (default constant)")
+    p.add_argument("--t", type=_parse_weights,
+                   help="explicit distinct nonzero t values")
+    p.add_argument("--mu0", type=_parse_weights,
+                   help="exponents of mu0 (default constant)")
+    p.add_argument("--mu1", type=_parse_weights,
+                   help="exponents of mu1 (default constant)")
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("lines", help="line catalog of a weighted plane")
@@ -478,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--weights", action="append",
+    p.add_argument("--weights", action="append", type=_parse_weights,
                    help="weight system, repeatable")
     p.add_argument("--method",
                    choices=("auto", "formula", "exhaustive", "both"),
@@ -509,34 +490,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.subcommand == "table":
-        custom = args.q is not None or args.d is not None or args.weights
-        if args.f19 and custom:
-            print("--f19 is the fixed reference table; it takes no "
-                  "--q/--d/--weights overrides", file=sys.stderr)
-            return 2
-        if not custom:
-            args.q = F19_PRESET["q"]
-            args.d = F19_PRESET["d"]
-        if args.q is None or args.d is None:
-            print("table needs both --q and --d (or no arguments for the "
-                  "reference table)", file=sys.stderr)
-            return 2
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        field_spec=getattr(args, "q", None),
-        weights=getattr(args, "weights", None)
-        if args.subcommand != "table" else None,
-        degree=getattr(args, "d", None),
-        candidate_budget=getattr(args, "budget", DEFAULT_CANDIDATE_BUDGET),
-        tuple_budget=getattr(args, "tuple_budget", DEFAULT_TUPLE_BUDGET),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", 0),
-        jobs=getattr(args, "jobs", None),
-    )
     try:
-        return args.fn(cfg, args)
+        return args.fn(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2

@@ -435,6 +435,9 @@ def _batch_bound_check(res, rng, fq, ws, d, count, bound, *, affine=False,
             f"has {int(zeros[i])} zeros, bound {bound}")
 
 
+_BOUND_PLANES = ((1, 2), (1, 3), (2, 3), (3, 4))  # (a1, a2) of P(1, a1, a2)
+
+
 def suite_bounds(seed: int = 0, per_bound: int = 10_000) -> SuiteResult:
     """Randomised never-violated checks for each upper bound, plus exact
     attainment of the lower-bound witness construction."""
@@ -446,56 +449,36 @@ def suite_bounds(seed: int = 0, per_bound: int = 10_000) -> SuiteResult:
     def bump(name, res_before):
         counts[name] = counts.get(name, 0) + (res.checks - res_before)
 
-    # classical bound on P^m
-    configs = [(q, m, d) for q in (2, 3, 4, 5) for m in (1, 2)
-               for d in range(1, q + 2)]
-    each = -(-per_bound // len(configs))
-    for q, m, d in configs:
-        fq = _field_for(q)
-        before = res.checks
-        _batch_bound_check(res, rng, fq, (1,) * (m + 1), d, each,
-                           d * q ** (m - 1) + projective_count(q, m - 2),
-                           label="classical")
-        bump("classical", before)
-
-    # weighted plane bound (d/a1) q + 1
-    plane_cfg = []
-    for q in (2, 3, 4, 5):
-        for a1, a2 in ((1, 2), (1, 3), (2, 3), (3, 4)):
-            for d in range(a1 * a2, a1 * (q + 1) + 1, a1 * a2):
-                plane_cfg.append((q, a1, a2, d))
-    each = -(-per_bound // len(plane_cfg))
-    for q, a1, a2, d in plane_cfg:
-        fq = _field_for(q)
-        before = res.checks
-        _batch_bound_check(res, rng, fq, (1, a1, a2), d, each,
-                           (d // a1) * q + 1, label="weighted-plane")
-        bump("weighted-plane", before)
-
-    # weighted affine bound (d/a1) q, no cap on d
-    ore_cfg = []
-    for q in (2, 3, 4, 5):
-        for a1, a2 in ((1, 2), (1, 3), (2, 3), (3, 4)):
-            for mult in (1, 2, 3):
-                ore_cfg.append((q, a1, a2, mult * a1 * a2))
-    each = -(-per_bound // len(ore_cfg))
-    for q, a1, a2, d in ore_cfg:
-        fq = _field_for(q)
-        before = res.checks
-        _batch_bound_check(res, rng, fq, (1, a1, a2), d, each,
-                           (d // a1) * q, affine=True, label="weighted-affine")
-        bump("weighted-affine", before)
-
-    # weighted binary bound d/a1 on P(1, a)
-    bin_cfg = [(q, a, t * a) for q in (2, 3, 4, 5, 7) for a in (2, 3, 4, 5)
-               for t in range(1, q + 3)]
-    each = -(-per_bound // len(bin_cfg))
-    for q, a, d in bin_cfg:
-        fq = _field_for(q)
-        before = res.checks
-        _batch_bound_check(res, rng, fq, (1, a), d, each, d // a,
-                           label="weighted-binary")
-        bump("weighted-binary", before)
+    # Random polynomials never exceed a bound: (q, weights, d, bound,
+    # affine) per family, each family checked on about per_bound polynomials.
+    families = {
+        "classical": [
+            (q, (1,) * (m + 1), d,
+             d * q ** (m - 1) + projective_count(q, m - 2), False)
+            for q in (2, 3, 4, 5) for m in (1, 2) for d in range(1, q + 2)],
+        # weighted plane bound (d/a1) q + 1
+        "weighted-plane": [
+            (q, (1, a1, a2), d, (d // a1) * q + 1, False)
+            for q in (2, 3, 4, 5) for a1, a2 in _BOUND_PLANES
+            for d in range(a1 * a2, a1 * (q + 1) + 1, a1 * a2)],
+        # weighted affine bound (d/a1) q, no cap on d
+        "weighted-affine": [
+            (q, (1, a1, a2), d, (d // a1) * q, True)
+            for q in (2, 3, 4, 5) for a1, a2 in _BOUND_PLANES
+            for d in (a1 * a2, 2 * a1 * a2, 3 * a1 * a2)],
+        # weighted binary bound d/a1 on P(1, a)
+        "weighted-binary": [
+            (q, (1, a), t * a, t, False)
+            for q in (2, 3, 4, 5, 7) for a in (2, 3, 4, 5)
+            for t in range(1, q + 3)],
+    }
+    for label, configs in families.items():
+        each = -(-per_bound // len(configs))
+        for q, ws, d, bound, affine in configs:
+            before = res.checks
+            _batch_bound_check(res, rng, _field_for(q), ws, d, each, bound,
+                               affine=affine, label=label)
+            bump(label, before)
 
     # lower-bound witnesses attain min(p_m, (d/a) q^{m-1} + p_{m-2}) exactly
     wit_ws = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 3, 5), (1, 2, 2),

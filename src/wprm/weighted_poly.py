@@ -135,10 +135,10 @@ class WeightedPolynomial:
                 raise ValueError(f"negative exponent in {exps}")
             if not 0 <= coeff < field.q:
                 raise ValueError(f"coefficient {coeff} outside GF({field.q})")
-            if weighted_degree(ws, exps) != degree:
-                raise ValueError(
-                    f"monomial {exps} has weighted degree "
-                    f"{weighted_degree(ws, exps)}, expected {degree}")
+            deg = sum(a * r for a, r in zip(ws.weights, exps))
+            if deg != degree:
+                raise ValueError(f"monomial {exps} has weighted degree "
+                                 f"{deg}, expected {degree}")
             if coeff:
                 clean[exps] = coeff
         self.ws = ws

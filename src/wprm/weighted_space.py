@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,13 +67,23 @@ def projective_count(q: int, r: int) -> int:
     return (q ** (r + 1) - 1) // (q - 1)
 
 
+def _int_weights(weights) -> tuple[int, ...]:
+    # The entries as ints: ints and numpy integers pass, anything that would
+    # have to be truncated (a float, a string) is refused.
+    ws = tuple(weights)
+    try:
+        return tuple(map(operator.index, ws))
+    except TypeError:
+        raise ValueError(f"weights must be integers: {ws}") from None
+
+
 class WeightSystem:
     """The weight tuple (a_0,...,a_m); entries >= 1 with overall gcd 1."""
 
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        ws = tuple(int(a) for a in weights)
+        ws = _int_weights(weights)
         if not ws:
             raise ValueError("empty weight system")
         if any(a < 1 for a in ws):
@@ -443,8 +454,10 @@ def projective_space(weights: tuple, field: FiniteField) -> WeightedProjectiveSp
 
 
 def space(ws, field: FiniteField) -> WeightedProjectiveSpace:
-    """Cached space accessor; ws may be a sequence or WeightSystem."""
-    return projective_space(as_weights(ws).weights, field)
+    """Cached space accessor; ws may be a sequence or WeightSystem.  Only a
+    cache miss builds (and so validates) a WeightSystem."""
+    weights = ws.weights if isinstance(ws, WeightSystem) else _int_weights(ws)
+    return projective_space(weights, field)
 
 
 def enumerate_points(ws, field: FiniteField) -> list[WeightedPoint]:
@@ -534,8 +547,9 @@ class DelormeStep:
             for j, a in enumerate(self.source)))
 
     def map_points(self, field: FiniteField, coords) -> np.ndarray:
-        """The canonical images in P(reduced) of the rows of coords."""
-        out = np.array(coords, dtype=np.int64)
+        """The canonical images in P(reduced) of the rows of coords, which
+        must be points of P(source), refused as `canonicalize_many` refuses."""
+        out = space(self.source, field)._checked(coords)
         out[:, self.index] = field.pow_arr(out[:, self.index], self.b)
         return space(self.reduced, field).canonicalize_many(out)
 

@@ -72,6 +72,9 @@ _GATHER_CELLS = 1 << 16  # int64 cells of one `_extend_table` gather
 
 def zero_mask(poly: WeightedPolynomial, sp: WeightedProjectiveSpace) -> np.ndarray:
     """Boolean mask over sp.point_coords() rows where poly vanishes."""
+    if poly.ws != sp.ws or poly.field != sp.field:
+        raise ValueError(f"the polynomial lives on P{poly.ws.weights} over "
+                         f"{poly.field!r}, not on {sp!r}")
     if poly.is_zero:
         raise ValueError("zero polynomial has no well-defined zero set")
     return poly.evaluate_many(sp.point_coords()) == 0
@@ -140,8 +143,8 @@ def _extend_table(T: np.ndarray, row: np.ndarray,
 
 
 def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
-                     lead: int, highs: np.ndarray, stop_at: int,
-                     block: int) -> tuple[int, int]:
+                     lead: int, highs: np.ndarray,
+                     stop_at: int) -> tuple[int, int]:
     """Best zero count over the tails of a leading position whose high parts
     are in highs, a sorted int64 array.
 
@@ -162,7 +165,7 @@ def _scan_lead_range(field: FiniteField, V: np.ndarray, T: np.ndarray,
     Tw = T[:, :cols]
     V_hi = V[lead:k - low]
     powers = q ** np.arange(width - low - 1, -1, -1, dtype=np.int64)
-    per = max(1, min(block, _SCAN_CELLS // max(n, 1)) // cols)  # high parts per block
+    per = max(1, min(_BLOCK, _SCAN_CELLS // max(n, 1)) // cols)  # high parts per block
     counts = np.min_scalar_type(n)  # summing in a narrow dtype is faster
     best, best_tail = -1, -1
     for a in range(0, len(highs), per):
@@ -280,7 +283,7 @@ def _canonical_highs(plan: _LeadPlan, field: FiniteField) -> np.ndarray:
 
 def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
                      stop_at=None, budget: int = DEFAULT_CANDIDATE_BUDGET,
-                     jobs=None, block: int = _BLOCK):
+                     jobs=None):
     """Maximum zero count over all leading-1 coefficient vectors.
 
     Leading positions are scanned from the last basis element backwards, so
@@ -332,10 +335,9 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
                         concurrent.futures.ProcessPoolExecutor(
                             max_workers=workers))
                 b, t = _scan_lead_parallel(pool, field, V, T, lead, highs,
-                                           stop_at, block, workers)
+                                           stop_at, workers)
             else:
-                b, t = _scan_lead_range(field, V, T, lead, highs, stop_at,
-                                        block)
+                b, t = _scan_lead_range(field, V, T, lead, highs, stop_at)
             if b > best:
                 best, best_lead, best_tail = b, lead, t
                 if best >= stop_at:
@@ -343,12 +345,12 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
     return best, (best_lead, best_tail), total, plan.visited
 
 
-def _scan_lead_parallel(pool, field, V, T, lead, highs, stop_at, block, jobs):
+def _scan_lead_parallel(pool, field, V, T, lead, highs, stop_at, jobs):
     # jobs * 4 consecutive slices of the high parts, reduced in order.
     step = -(-len(highs) // (jobs * 4))
     # The field pickles as GF(p, e), so a worker gets its cached copy.
     futures = [pool.submit(_scan_lead_range, field, V, T, lead,
-                           highs[a:a + step], stop_at, block)
+                           highs[a:a + step], stop_at)
                for a in range(0, len(highs), step)]
     best, best_tail = -1, -1
     try:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib.util
 import inspect
 import json
@@ -163,8 +164,11 @@ def test_verify_passes_each_suite_only_its_options(capsys, monkeypatch,
                                                    argv, given, rc):
     # Each suite gets exactly the given options its signature takes, and the
     # seed; an unknown suite stops the run before any later suite starts.
+    # The fakes carry the real suites' signatures through __wrapped__, as a
+    # tracing wrapper does.
     real, calls = dict(SUITES), {}
     for name in SUITES:
+        @functools.wraps(real[name])
         def fake(_name=name, **kwargs):
             calls[_name] = kwargs
             return SuiteResult(_name)
@@ -187,6 +191,28 @@ def test_bad_arguments(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "points", "--weights", "1,2", "--q", "6")
     assert rc == 2
+
+
+FAMILY_ARGV = ["family", "--weights", "1,1", "--q", "3", "--m0", "1,0",
+               "--m1", "0,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--q", "5", "--d", "4", "--weights", "1,x"],
+    ["table", "--q", "5", "--d", "4", "--weights", "1,2,2",
+     "--weights", "1,"],
+    FAMILY_ARGV + ["--m0", "1,x"],
+    FAMILY_ARGV + ["--m1", "x,1"],
+    FAMILY_ARGV + ["--t", "1,y"],
+    FAMILY_ARGV + ["--mu0", "z"],
+    FAMILY_ARGV + ["--mu1", "1,"],
+])
+def test_a_malformed_list_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad weight list" in err and err.startswith("usage: wprm ")
 
 
 PARSER_SEQUENCE = [

@@ -89,10 +89,12 @@ def test_scan_lead_range_matches_reference(case, data):
     hi = data.draw(st.integers(lo, high_count))
     # The scan takes a count; None asks the reference for the plain maximum.
     scan_stop = n if stop_at is None else stop_at
-    for a, b in ((0, high_count), (lo, hi)):
-        highs = np.arange(a, b, dtype=np.int64)
-        assert zs._scan_lead_range(fq, V, T, lead, highs, scan_stop, block) \
-            == reference_scan(fq, V, lead, a * cols, b * cols, stop_at)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zs, "_BLOCK", block)
+        for a, b in ((0, high_count), (lo, hi)):
+            highs = np.arange(a, b, dtype=np.int64)
+            assert zs._scan_lead_range(fq, V, T, lead, highs, scan_stop) \
+                == reference_scan(fq, V, lead, a * cols, b * cols, stop_at)
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,8 +103,9 @@ def test_max_zeros_sweep_matches_reference(case):
     fq, V, stop_at, block, cells = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zs, "_TABLE_CELLS", cells)
+        mp.setattr(zs, "_BLOCK", block)
         best, where, total, visited = zs._max_zeros_sweep(
-            V, fq, stop_at=stop_at, jobs=1, block=block)
+            V, fq, stop_at=stop_at, jobs=1)
     assert (best, where) == reference_sweep(fq, V, stop_at)
     assert visited == total == (fq.q ** V.shape[0] - 1) // (fq.q - 1)
 
@@ -128,7 +131,7 @@ def test_low_width_respects_table_cells(monkeypatch):
     assert zs._low_width(5, 10, 31) == 0
 
 
-def test_scan_block_memory_is_bounded_by_cells():
+def test_scan_block_memory_is_bounded_by_cells(monkeypatch):
     # `eq-search --weights 1,1,1 --q 101 --d 2` has no low digits (L = 0), so
     # a block of 2^14 high parts would hold a (16384, 10303) int64 product;
     # the block is capped by compare cells, and the answer does not move.
@@ -142,9 +145,10 @@ def test_scan_block_memory_is_bounded_by_cells():
     T = np.zeros((n, 1), dtype=np.uint8)
     tracemalloc.start()
     try:
-        got = zs._scan_lead_range(fq, V, T, 1, highs, n, zs._BLOCK)
+        got = zs._scan_lead_range(fq, V, T, 1, highs, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
-    assert got == zs._scan_lead_range(fq, V, T, 1, highs, n, 64)
+    monkeypatch.setattr(zs, "_BLOCK", 64)
+    assert got == zs._scan_lead_range(fq, V, T, 1, highs, n)

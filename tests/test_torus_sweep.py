@@ -209,10 +209,10 @@ def test_torus_sweep_matches_plain_sweep_property(case, data):
     basis = monomial_basis(ws, d)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zs, "_TABLE_CELLS", cells)
+        mp.setattr(zs, "_BLOCK", block)
         torus = zs._max_zeros_sweep(V, fq, exponents=basis, stop_at=stop_at,
-                                    jobs=1, block=block)
-        plain = zs._max_zeros_sweep(V, fq, stop_at=stop_at, jobs=1,
-                                    block=block)
+                                    jobs=1)
+        plain = zs._max_zeros_sweep(V, fq, stop_at=stop_at, jobs=1)
         k = V.shape[0]
         L = zs._low_width(fq.q, k, n)
         plan = zs._sweep_plan(k, L, fq, tuple(basis))
@@ -254,6 +254,7 @@ def test_scan_of_visited_high_parts_on_random_tail_ranges(case, data):
     with pytest.MonkeyPatch.context() as mp:
         # at most two low digits, so that most leads have high digits
         mp.setattr(zs, "_TABLE_CELLS", min(cells, fq.q ** 2 * 64))
+        mp.setattr(zs, "_BLOCK", block)
         L = zs._low_width(fq.q, k, n)
         lead = data.draw(st.integers(0, k - 1))
         lp = zs._sweep_plan(k, L, fq, basis).leads[lead]
@@ -267,13 +268,13 @@ def test_scan_of_visited_high_parts_on_random_tail_ranges(case, data):
         # any consecutive slice of the high parts, as a parallel chunk is
         a = data.draw(st.integers(0, len(highs)))
         b = data.draw(st.integers(a, len(highs)))
-        got = zs._scan_lead_range(fq, V, T, lead, highs[a:b], stop_at, block)
+        got = zs._scan_lead_range(fq, V, T, lead, highs[a:b], stop_at)
         assert got == masked_reference(fq, V, lead, stop_at, lp.cols,
                                        highs[a:b])
         # over the whole lead, the visited tails find what every tail finds
         every = np.arange(fq.q ** lp.hw, dtype=np.int64)
-        assert zs._scan_lead_range(fq, V, T, lead, highs, stop_at, block) \
-            == zs._scan_lead_range(fq, V, T, lead, every, stop_at, block)
+        assert zs._scan_lead_range(fq, V, T, lead, highs, stop_at) \
+            == zs._scan_lead_range(fq, V, T, lead, every, stop_at)
 
 
 # -- parallel sweeps, counts and the budget -------------------------------------------------
@@ -317,10 +318,10 @@ def test_visited_counts_the_tails_scanned(monkeypatch, ws, q, d):
     scanned = []
     scan = zs._scan_lead_range
 
-    def recording(field, V, T, lead, highs, stop_at, block):
+    def recording(field, V, T, lead, highs, stop_at):
         cols = min(T.shape[1], field.q ** (V.shape[0] - 1 - lead))
         scanned.extend((lead, t) for t in lead_tails(highs, cols).tolist())
-        return scan(field, V, T, lead, highs, stop_at, block)
+        return scan(field, V, T, lead, highs, stop_at)
 
     monkeypatch.setattr(zs, "_scan_lead_range", recording)
     fq = _field(q)

@@ -161,6 +161,37 @@ def test_weight_system_validation():
     ws = WeightSystem((1, 2, 3))
     assert ws.m == 2 and ws.lcm == 6 and ws.total == 6
     assert as_weights(ws) is ws
+    assert WeightSystem(np.array([1, 2, 3])) == ws  # numpy integers pass
+
+
+@pytest.mark.parametrize("weights", [(1.5, 2, 3), (1, 2.0, 3), (1, "2", 3)])
+def test_non_integer_weights_are_refused_not_truncated(weights):
+    # (1.5, 1, 1) used to become P(1, 1, 1); every entry must be an integer
+    for make in (WeightSystem, lambda w: space(w, GF(3)),
+                 lambda w: max_zeros(w, GF(3), 2)):
+        with pytest.raises(ValueError, match="weights must be integers"):
+            make(weights)
+    space((1, 2, 3), GF(3))  # a cached space refuses the float all the same
+    with pytest.raises(ValueError, match="weights must be integers"):
+        space((1.0, 2, 3), GF(3))
+
+
+def test_a_space_cache_hit_builds_no_weight_system(monkeypatch):
+    fq = GF(5)
+    space((1, 2, 3), fq)
+    ws = WeightSystem((1, 2, 3))
+    built, init = [], WeightSystem.__init__
+
+    def counting(self, weights):
+        built.append(tuple(weights))
+        init(self, weights)
+
+    monkeypatch.setattr(WeightSystem, "__init__", counting)
+    for key in ((1, 2, 3), [1, 2, 3], np.array([1, 2, 3]), ws):
+        assert space(key, fq) is space((1, 2, 3), fq)
+    assert built == []
+    space((5, 7, 11), fq)  # a miss (no other test uses it) builds one
+    assert built == [(5, 7, 11)]
 
 
 def test_well_formedness():
@@ -246,6 +277,24 @@ def test_map_points_matches_the_scalar_map_row_by_row(q):
         assert got.dtype == np.int64
         assert [tuple(r) for r in got.tolist()] == \
             [map_point(step, fq, pt).coords for pt in src.points()], step
+
+
+@pytest.mark.parametrize("row,message", [
+    ([1.5, 2, 3], "coordinates must be integers"),
+    ([-1, 2, 3], r"\(-1, 2, 3\) is not a tuple of 3 elements of GF\(7\)"),
+    ([8, 2, 3], r"\(8, 2, 3\) is not a tuple of 3 elements of GF\(7\)"),
+    ([0, 0, 0], "the zero tuple"),
+    ([1, 2], "is not a tuple of 3 elements"),
+])
+def test_map_points_refuses_rows_that_are_not_source_points(row, message):
+    # Checked before any power or gather: a float used to be truncated, -1
+    # to wrap through the log table, 8 to raise IndexError.
+    fq = GF(7)
+    step = delorme_reduce((1, 2, 2), 0, 2)
+    with pytest.raises(ValueError, match=message):
+        step.map_points(fq, [row])
+    with pytest.raises(ValueError, match=message):
+        space(step.reduced, fq).canonicalize_many([row])
 
 
 def test_map_points_leaves_its_input_alone():

@@ -15,7 +15,8 @@ import wprm.zero_sets as zs
 from wprm.codes import build_code, min_distance_exhaustive
 from wprm.finite_field import GF, field_from_spec
 from wprm.weighted_space import BudgetExceeded, projective_count, space
-from wprm.weighted_poly import WeightedPolynomial, monomial_basis
+from wprm.weighted_poly import (WeightedPolynomial, monomial_basis,
+                                parse_polynomial)
 from wprm.zero_sets import (FamilySpec, PrimitivePair,
                             build_family, check_bounds, coeffs_at,
                             count_zeros, count_zeros_affine,
@@ -68,6 +69,17 @@ def test_count_rejects_zero_polynomial():
     sp = space((1, 1), fq)
     with pytest.raises(ValueError):
         count_zeros(WeightedPolynomial.zero((1, 1), fq, 2), sp)
+
+
+def test_counts_refuse_a_polynomial_from_another_ring():
+    # Evaluated anyway, these gave 8 and 1 zeros: silent wrong answers.
+    p = parse_polynomial("1*X0^2 + 1*X1", (1, 2, 3), GF(7))
+    for sp in (space((1, 2, 2), GF(7)), space((1, 2, 3), GF(5))):
+        for count in (count_zeros, count_zeros_affine, check_bounds):
+            with pytest.raises(ValueError, match="the polynomial lives on"):
+                count(p, sp)
+    assert count_zeros(p, space((1, 2, 3), GF(7))) \
+        == naive_count(p, space((1, 2, 3), GF(7)))
 
 
 def test_space_filling_classical():
