@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import inspect
 import io
 import json
 import sys
 
-from .finite_field import field_from_spec
+from .finite_field import field_from_spec, shared
 from .weighted_space import (BudgetExceeded, DEFAULT_TUPLE_BUDGET,
                              WeightedProjectiveSpace, as_weights,
                              format_point, singular_locus, space)
@@ -36,11 +35,11 @@ from . import codes as codes_mod
 from .verify import SUITES
 
 
-def _parse_weights(text: str) -> tuple[int, ...]:
+def _parse_weights(text: str, kind: str = "weight") -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad weight list {text!r}")
+        raise argparse.ArgumentTypeError(f"bad {kind} list {text!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -56,8 +55,8 @@ def _json(payload) -> str:
 
 
 def _space_for(args) -> WeightedProjectiveSpace:
-    """The shared cached space, enumerated up front under the CLI's budget;
-    the budget is an argument of the call, never state on the space."""
+    """The shared space, refused up front when its point array is over the
+    CLI's tuple budget; the budget is an argument of the call."""
     sp = space(args.weights, field_from_spec(args.q))
     sp.point_coords(tuple_budget=args.tuple_budget)
     return sp
@@ -345,8 +344,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else args.suite.split(",")
-    given = {"qs": (tuple(int(x) for x in args.q.split(","))
-                    if args.q else None),
+    given = {"qs": args.q,
              "seed": args.seed,
              "per_bound": args.per_bound,
              "max_weight": args.max_weight}
@@ -473,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",
                    help=f"comma list from: {', '.join(SUITES)} (or 'all')")
-    p.add_argument("--q", default=None, help="comma list of field sizes")
+    p.add_argument("--q", type=lambda text: _parse_weights(text, "field"),
+                   help="comma list of field sizes")
     p.add_argument("--seed", **KNOBS["seed"])
     p.add_argument("--per-bound", type=int, default=None)
     p.add_argument("--max-weight", type=int, default=None)
@@ -482,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
+@shared
 def _parser() -> argparse.ArgumentParser:
     # Building the tree costs about 3 ms, and parsing leaves no state on it.
     return build_parser()

@@ -71,6 +71,9 @@ def evaluation_column(poly: WeightedPolynomial, point: WeightedPoint,
     weight divides the degree.
     """
     ws = as_weights(ws)
+    if poly.ws != ws or poly.field != field:
+        raise ValueError(f"the polynomial lives on P{poly.ws.weights} over "
+                         f"{poly.field!r}, not on P{ws.weights} over {field!r}")
     i = point.chart_index
     if poly.degree % ws[i]:
         raise ValueError(
@@ -188,6 +191,9 @@ def encode(inst: CodeInstance, poly) -> np.ndarray:
             raise TypeError("projective codes encode weighted polynomials")
         if poly.ws != inst.ws or poly.degree != inst.d:
             raise ValueError("polynomial does not match the code's graded piece")
+    if poly.field != inst.field:
+        raise ValueError(f"the polynomial lives over {poly.field!r}, not "
+                         f"over the code's {inst.field!r}")
     index = {exps: i for i, exps in enumerate(inst.basis)}
     return inst.field.matmul(coefficient_vector(poly, index), inst.matrix)
 

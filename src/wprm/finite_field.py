@@ -31,6 +31,9 @@ its multiple of the pivot row and the sum is one more gather.  A negation is
 integer arithmetic mod p on prime fields and the product with -1 (index
 p - 1) for e > 1.  The field owns the GF(p) / GF(p^e) split: callers use its
 array ops and `matmul` and never branch on the extension degree themselves.
+
+Every memo of the package is `shared`: an LRU cache of `CACHE_ENTRIES` (256)
+results per function, whose arrays every caller shares read-only.
 """
 
 from __future__ import annotations
@@ -39,10 +42,26 @@ import functools
 
 import numpy as np
 
+CACHE_ENTRIES = 256  # results kept by each `shared` function
 FIELD_SIZE_CAP = 1 << 16
 _SUM_TABLE_MAX_Q = 256  # fields up to this size add through a q x q table
 _ONE_THREAD_MACS = 1 << 18  # BLAS runs a product this small on one thread
 _GENERATOR_BLOCK = 32  # candidate generators tested at once
+
+
+def shared(fn):
+    """fn memoised in an LRU cache of CACHE_ENTRIES results.  A miss makes
+    an array result, or each array at the top level of a tuple result,
+    read-only; a hit costs what an `lru_cache` hit costs.  An exception is
+    not cached."""
+    @functools.wraps(fn)
+    def build(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        for value in out if isinstance(out, tuple) else (out,):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return out
+    return functools.lru_cache(maxsize=CACHE_ENTRIES)(build)
 
 
 def is_prime(n: int) -> bool:
@@ -343,25 +362,21 @@ class FiniteField:
         return f"GF({self.p}^{self.e})"
 
 
-@functools.lru_cache(maxsize=None)
+@shared
 def _radix(p: int, e: int) -> np.ndarray:
-    out = p ** np.arange(e, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+    return p ** np.arange(e, dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=None)
+@shared
 def _digits(p: int, e: int) -> np.ndarray:
     # Row a holds the e base-p digits of index a, constant term first.  uint16
     # holds the sum of two digits for p < 2^15, which covers every field that
     # adds through this table: q <= 256, or e > 1 under the size cap.
-    out = (np.arange(p ** e, dtype=np.int64)[:, None] // _radix(p, e)
-           % p).astype(np.uint16)
-    out.setflags(write=False)
-    return out
+    return (np.arange(p ** e, dtype=np.int64)[:, None] // _radix(p, e)
+            % p).astype(np.uint16)
 
 
-@functools.lru_cache(maxsize=None)
+@shared
 def _cached_field(p: int, e: int) -> FiniteField:
     return FiniteField(p, e)
 

@@ -14,13 +14,12 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 
 import numpy as np
 
-from .finite_field import FiniteField
+from .finite_field import FiniteField, shared
 from .weighted_space import as_weights
 
 
@@ -38,7 +37,7 @@ def monomial_basis(ws, d: int) -> list[tuple[int, ...]]:
     return list(_monomial_basis(as_weights(ws).weights, d))
 
 
-@functools.lru_cache(maxsize=1024)
+@shared
 def _monomial_basis(ws: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
 

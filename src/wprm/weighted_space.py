@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .finite_field import FiniteField
+from .finite_field import FiniteField, shared
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
 
@@ -166,15 +166,13 @@ def _strip_char(g: int, p: int) -> int:
     return g
 
 
-@functools.lru_cache(maxsize=256)
+@shared
 def _coset_minima(field: FiniteField, width: int):
     """(log, value) of the least unit in each coset r + width Z of the log
     group, r = 0..width-1, as read-only arrays; width divides q - 1."""
     cosets = field.exp_table.reshape(-1, width)  # [t, r] = exp[t width + r]
-    logs = np.arange(width, dtype=np.int64) + width * cosets.argmin(axis=0)
-    values = cosets.min(axis=0)
-    logs.flags.writeable = values.flags.writeable = False
-    return logs, values
+    return (np.arange(width, dtype=np.int64) + width * cosets.argmin(axis=0),
+            cosets.min(axis=0))
 
 
 class _Link(NamedTuple):
@@ -186,7 +184,7 @@ class _Link(NamedTuple):
     minima: np.ndarray       # those least units: the set M_j
 
 
-@functools.lru_cache(maxsize=1024)
+@shared
 def stabiliser_chain(gens: tuple[tuple[int, ...], ...],
                      field: FiniteField) -> tuple[_Link, ...]:
     """The stabiliser chain of the group that the rows of gens generate.
@@ -227,6 +225,7 @@ def stabiliser_chain(gens: tuple[tuple[int, ...], ...],
     return tuple(links)
 
 
+@shared
 def _width_table(weights: tuple[int, ...],
                  field: FiniteField) -> tuple[tuple[int, ...], ...]:
     """The chain widths of the scalings of every support, in closed form.
@@ -278,24 +277,21 @@ def coset_product_keys(field: FiniteField, widths) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-@functools.lru_cache(maxsize=256)
+@shared
 def _canonical_points(field: FiniteField, widths) -> np.ndarray:
     """The canonical points of a width table, lex ascending, as a read-only
     (n, m+1) array that every space with this table shares."""
     keys = coset_product_keys(field, widths)
     radix = field.q ** np.arange(len(widths[0]) - 1, -1, -1, dtype=np.int64)
-    points = keys[:, None] // radix % field.q
-    points.flags.writeable = False
-    return points
+    return keys[:, None] // radix % field.q
 
 
 class WeightedProjectiveSpace:
-    """P(a)(F_q) with cached canonical point enumeration."""
+    """P(a)(F_q), a value that keeps no state beyond its weights and field."""
 
     def __init__(self, weights, field: FiniteField):
         self.ws = as_weights(weights)
         self.field = field
-        self._coords = None
 
     @property
     def m(self) -> int:
@@ -412,21 +408,12 @@ class WeightedProjectiveSpace:
     # -- enumeration ------------------------------------------------------------
 
     def point_coords(self, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
-        """All canonical points as an (n, m+1) index array, lex ascending.
+        """All canonical points as a read-only (n, m+1) index array, lex
+        ascending, shared by every space with the same width table.
 
-        The first call enumerates, refusing before any work starts when the
-        array's p_m (m+1) entries exceed tuple_budget; later calls return
-        the cached array.
+        Every call refuses before any work starts when the array's p_m (m+1)
+        entries exceed tuple_budget.
         """
-        if self._coords is None:
-            self._coords = self._enumerate(tuple_budget)
-        return self._coords
-
-    def points(self) -> list[WeightedPoint]:
-        return [WeightedPoint(tuple(row))
-                for row in self.point_coords().tolist()]
-
-    def _enumerate(self, tuple_budget: int) -> np.ndarray:
         f = self.field
         npos = len(self.ws)
         entries = self.expected_point_count * npos
@@ -438,6 +425,10 @@ class WeightedProjectiveSpace:
                 f"{tuple_budget}")
         return _canonical_points(f, _width_table(self.ws.weights, f))
 
+    def points(self) -> list[WeightedPoint]:
+        return [WeightedPoint(tuple(row))
+                for row in self.point_coords().tolist()]
+
     def stratum_sizes(self) -> list[int]:
         """Point counts of the strata W_i (first nonzero coordinate = i)."""
         coords = self.point_coords()
@@ -448,7 +439,7 @@ class WeightedProjectiveSpace:
         return f"P{self.ws.weights} over {self.field!r}"
 
 
-@functools.lru_cache(maxsize=256)
+@shared
 def projective_space(weights: tuple, field: FiniteField) -> WeightedProjectiveSpace:
     return WeightedProjectiveSpace(WeightSystem(weights), field)
 

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .finite_field import FiniteField
+from .finite_field import FiniteField, shared
 from .weighted_space import (BudgetExceeded, WeightedProjectiveSpace, as_weights,
                              coset_product_keys, projective_count, space,
                              stabiliser_chain)
@@ -90,13 +90,11 @@ def count_zeros_affine(poly: WeightedPolynomial, sp: WeightedProjectiveSpace) ->
     return int((zero_mask(poly, sp) & (sp.point_coords()[:, 0] != 0)).sum())
 
 
-@functools.lru_cache(maxsize=256)
+@shared
 def _cached_monomial_matrix(weights: tuple, field: FiniteField,
                             d: int) -> np.ndarray:
-    out = monomial_values(field, space(weights, field).point_coords(),
-                          monomial_basis(weights, d))
-    out.setflags(write=False)  # every caller shares the cached array
-    return out
+    return monomial_values(field, space(weights, field).point_coords(),
+                           monomial_basis(weights, d))
 
 
 def monomial_matrix(ws, field: FiniteField, d: int) -> np.ndarray:
@@ -239,7 +237,7 @@ def _visited_floor(k: int, L: int, q: int, exponents) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=64)
+@shared
 def _sweep_plan(k: int, L: int, field: FiniteField, exponents) -> _SweepPlan:
     """The visited tails of every leading position of a sweep with k rows
     and L low digits, and their total.
@@ -596,33 +594,24 @@ class FamilySpec:
                 + sum(a * r for a, r in zip(ws, self.mu1)))
 
     def validate(self, ws, field: FiniteField) -> None:
-        """Raise ValueError unless the spec is valid on P(ws) over field.
-
-        A valid (spec, weights, field) is remembered, so the spec generator
-        and `build_family` together check it once; an invalid one raises on
-        every call.
-        """
-        _validate_family(self, as_weights(ws).weights, field)
-
-
-@functools.lru_cache(maxsize=256)
-def _validate_family(spec: FamilySpec, weights: tuple[int, ...],
-                     field: FiniteField) -> None:
-    spec.pair.validate(weights)
-    if len(spec.t) != len(set(spec.t)):
-        raise ValueError("the t_i must be distinct")
-    if any(not 0 < t < field.q for t in spec.t):
-        raise ValueError("the t_i must be nonzero field elements")
-    for mu, mu_sup, sup in zip((spec.mu0, spec.mu1), spec.mu_supports,
-                               spec.pair.supports):
-        if len(mu) != len(weights):
-            raise ValueError(f"monomial {mu} has wrong arity")
-        if not set(mu_sup) <= set(sup):
-            raise ValueError(f"mu support {mu_sup} not inside pair support")
-    if spec.ell == 0 and (spec.sigma0 != spec.pair.s0
-                          or spec.sigma1 != spec.pair.s1):
-        raise ValueError("with no product factors, each mu_i must touch "
-                         "every variable of its pair monomial")
+        """Raise ValueError unless the spec is valid on P(ws) over field;
+        every call checks it anew."""
+        ws = as_weights(ws)
+        self.pair.validate(ws)
+        if len(self.t) != len(set(self.t)):
+            raise ValueError("the t_i must be distinct")
+        if any(not 0 < t < field.q for t in self.t):
+            raise ValueError("the t_i must be nonzero field elements")
+        for mu, mu_sup, sup in zip((self.mu0, self.mu1), self.mu_supports,
+                                   self.pair.supports):
+            if len(mu) != len(ws):
+                raise ValueError(f"monomial {mu} has wrong arity")
+            if not set(mu_sup) <= set(sup):
+                raise ValueError(f"mu support {mu_sup} not inside pair support")
+        if self.ell == 0 and (self.sigma0 != self.pair.s0
+                              or self.sigma1 != self.pair.s1):
+            raise ValueError("with no product factors, each mu_i must touch "
+                             "every variable of its pair monomial")
 
 
 def build_family(spec: FamilySpec, ws, field: FiniteField) -> WeightedPolynomial:
@@ -663,7 +652,7 @@ def family_zero_count(spec: FamilySpec, ws, q: int) -> int:
 # -- torus counting -------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
+@shared
 def _torus_histogram(exponents: tuple, field: FiniteField) -> np.ndarray:
     # How often each log k (x^exponents = g^k) occurs on the unit torus
     # (F_q^*)^s, counted by evaluating the monomial at every torus point.
@@ -671,12 +660,9 @@ def _torus_histogram(exponents: tuple, field: FiniteField) -> np.ndarray:
     torus = np.stack(np.meshgrid(*[units] * len(exponents), indexing="ij"),
                      axis=-1).reshape(-1, len(exponents))
     values = monomial_values(field, torus, [exponents])[0]
-    out = np.bincount(field.log_table[values], minlength=field.q - 1)
-    out.setflags(write=False)  # every caller shares the cached array
-    return out
+    return np.bincount(field.log_table[values], minlength=field.q - 1)
 
 
-@functools.lru_cache(maxsize=256)
 def _torus_correlation(a_exps: tuple, b_exps: tuple,
                        field: FiniteField) -> np.ndarray:
     # out[s] = sum_k ha[k] hb[(k + s) mod (q - 1)]: the unit-torus solutions
@@ -684,9 +670,7 @@ def _torus_correlation(a_exps: tuple, b_exps: tuple,
     # ha against hb written out twice.
     ha = _torus_histogram(a_exps, field)
     hb = _torus_histogram(b_exps, field)
-    out = np.correlate(np.concatenate([hb, hb[:-1]]), ha, mode="valid")
-    out.setflags(write=False)  # every caller shares the cached array
-    return out
+    return np.correlate(np.concatenate([hb, hb[:-1]]), ha, mode="valid")
 
 
 def torus_count(a_exps, b_exps, alpha, beta, field: FiniteField):
@@ -752,7 +736,7 @@ def check_bounds(poly: WeightedPolynomial, sp: WeightedProjectiveSpace, *,
     ws, q, m, d = sp.ws, sp.q, sp.m, poly.degree
     reports = []
 
-    @functools.cache
+    @shared
     def _maximum(affine: bool) -> int | None:
         if oracle_budget is None:
             return None

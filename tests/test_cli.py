@@ -12,7 +12,7 @@ import wprm.cli as cli
 from wprm.cli import main
 from wprm.finite_field import GF
 from wprm.verify import SUITES, SuiteResult
-from wprm.weighted_space import projective_count, projective_space, space
+from wprm.weighted_space import projective_count, space
 
 GOLDEN = Path(__file__).parent / "golden" / "f19_table.csv"
 
@@ -102,8 +102,10 @@ def test_eq_search_budget_error(capsys):
 
 def test_tuple_budget_does_not_stick_to_the_shared_space(capsys):
     # The budget bounds this call's enumeration; the space the CLI got from
-    # the shared cache must not keep it for later callers.
-    projective_space.cache_clear()
+    # the shared cache must not keep it for later callers, nor skip it
+    # because an earlier call on the same space enumerated.
+    rc, _, _ = run(capsys, "points", "--weights", "1,2,3", "--q", "7")
+    assert rc == 0
     rc, _, err = run(capsys, "points", "--weights", "1,2,3", "--q", "7",
                      "--tuple-budget", "10")
     assert rc == 2
@@ -213,6 +215,20 @@ def test_a_malformed_list_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "bad weight list" in err and err.startswith("usage: wprm ")
+
+
+@pytest.mark.parametrize("q", ["x", "2,x", "2^2", ""])
+def test_a_malformed_field_list_is_a_usage_error(capsys, q):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "torus", "--q", q])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad field list" in err and err.startswith("usage: wprm ")
+
+
+def test_a_field_size_that_is_no_prime_power_is_refused(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "torus", "--q", "6")
+    assert (rc, out, err) == (2, "", "error: not a prime power: 6\n")
 
 
 PARSER_SEQUENCE = [

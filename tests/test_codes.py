@@ -8,7 +8,7 @@ import wprm.codes as codes
 from wprm.finite_field import GF, field_from_spec
 from wprm.weighted_space import space
 from wprm.weighted_poly import (AffinePolynomial, WeightedPolynomial,
-                                dim_Sd, monomial_basis)
+                                dim_Sd, monomial_basis, parse_polynomial)
 from wprm.zero_sets import count_zeros, max_zeros
 from wprm.codes import (CodeParameters, build_code,
                         code_parameters, comparison_table, encode,
@@ -140,6 +140,28 @@ def test_encode_errors():
         encode(rm, WeightedPolynomial.monomial((1, 1, 1), fq, (1, 0, 0)))
     with pytest.raises(ValueError):
         encode(rm, AffinePolynomial(fq, 2, {(2, 0): 1}))
+
+
+def test_encode_refuses_a_polynomial_from_another_field():
+    with pytest.warns(UserWarning, match="need not be injective"):
+        inst = build_code("wprm", GF(5), 2, 6, (1, 2, 3))
+    F = parse_polynomial("6*X0^6 + 1*X2^2", (1, 2, 3), GF(7))
+    with pytest.raises(ValueError, match="GF\\(7\\)"):
+        encode(inst, F)
+    rm = build_code("rm", GF(7), 2, 2)
+    with pytest.raises(ValueError, match="GF\\(5\\)"):
+        encode(rm, AffinePolynomial(GF(5), 2, {(1, 0): 4}))
+
+
+def test_evaluation_column_refuses_a_polynomial_from_another_ring():
+    ws, fq = (1, 2, 3), GF(7)
+    pt = space(ws, fq).canonicalize((1, 0, 2))
+    for F in (parse_polynomial("1*X0^2 + 1*X1", (1, 2, 2), fq),
+              parse_polynomial("1*X0^2 + 1*X1", ws, GF(5))):
+        with pytest.raises(ValueError, match="lives on"):
+            evaluation_column(F, pt, ws, fq)
+    F = parse_polynomial("1*X0^6 + 1*X2^2", ws, fq)
+    assert evaluation_column(F, pt, ws, fq) == 5  # 1 + 2^2 at (1:0:2)
 
 
 def test_small_weighted_code():

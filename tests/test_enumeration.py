@@ -11,8 +11,9 @@ from wprm import weighted_space
 from wprm.codes import F19_WEIGHT_SYSTEMS
 from wprm.finite_field import GF, field_from_spec
 from wprm.verify import _weight_tuples
-from wprm.weighted_space import (BudgetExceeded, WeightedPoint,
-                                 WeightedProjectiveSpace, _strip_char, space)
+from wprm.weighted_space import (DEFAULT_TUPLE_BUDGET, BudgetExceeded,
+                                 WeightedPoint, WeightedProjectiveSpace,
+                                 _strip_char, space)
 
 _CHUNK = 1 << 18
 
@@ -55,7 +56,7 @@ class ScanSpace(WeightedProjectiveSpace):
         """Lexicographically least representative, under the index order."""
         return WeightedPoint(min(self.representatives(raw)))
 
-    def _enumerate(self, tuple_budget: int) -> np.ndarray:
+    def point_coords(self, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
         f = self.field
         q, npos = f.q, len(self.ws)
         total = q ** npos
@@ -97,7 +98,7 @@ class ChainSpace(WeightedProjectiveSpace):
     """The per-support chain enumeration that the width table replaced,
     kept verbatim as the reference."""
 
-    def _enumerate(self, tuple_budget: int) -> np.ndarray:
+    def point_coords(self, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
         f = self.field
         npos = len(self.ws)
         entries = self.expected_point_count * npos
@@ -168,9 +169,11 @@ def test_budget_counts_the_entries_built(monkeypatch):
                             calls.append(name) or real(*args))
     with pytest.raises(BudgetExceeded, match="171 array entries"):
         sp.point_coords(tuple_budget=170)
-    assert sp._coords is None and not calls  # refused before any work
+    assert not calls  # refused before any work
     assert sp.point_coords(tuple_budget=171).shape == (57, 3)
     assert calls == ["_width_table", "_canonical_points"]  # the work refused
+    with pytest.raises(BudgetExceeded, match="171 array entries"):
+        sp.point_coords(tuple_budget=170)  # a budget passed once is no pass
 
 
 # -- the width table and the shared product ----------------------------------------------

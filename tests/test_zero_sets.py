@@ -178,7 +178,7 @@ def test_family_validation():
         build_family(FamilySpec(pair, (1,), (0, 0, 1), (0, 0, 1)), ws, fq)
 
 
-def test_family_validation_is_remembered_only_when_valid():
+def test_family_validation_is_checked_on_every_call():
     ws, fq = (2, 3, 5), GF(5)
     pair = PrimitivePair((1, 1, 0), (0, 0, 1))
     bad = FamilySpec(pair, (1, 1), (1, 1, 0), (0, 0, 1))
@@ -187,9 +187,6 @@ def test_family_validation_is_remembered_only_when_valid():
             bad.validate(ws, fq)
     good = FamilySpec(pair, (1, 2), (1, 1, 0), (0, 0, 1))
     good.validate(ws, fq)
-    hits = zs._validate_family.cache_info().hits
-    build_family(good, ws, fq)
-    assert zs._validate_family.cache_info().hits == hits + 1
     with pytest.raises(ValueError):  # the same spec on another field
         good.validate(ws, GF(2))
 
@@ -326,18 +323,14 @@ def test_torus_histogram_cache_is_read_only():
 
 
 def test_torus_correlation_matches_rolled_histograms():
-    # Every shift of the cached correlation against the per-call roll it
-    # replaced; the cached array is shared, so it is read-only.
+    # Every shift of the correlation against the per-call roll it replaced.
     for fq in (GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(3, 2), GF(2, 4)):
         for a_exps, b_exps in (((1,), (1,)), ((2, 3), (4,)), ((3,), (2, 2))):
             ha = zs._torus_histogram(a_exps, fq)
             hb = zs._torus_histogram(b_exps, fq)
             corr = zs._torus_correlation(a_exps, b_exps, fq)
-            assert zs._torus_correlation(a_exps, b_exps, fq) is corr
             assert [int(ha @ np.roll(hb, -s)) for s in range(fq.q - 1)] \
                 == corr.tolist()
-            with pytest.raises(ValueError):
-                corr[0] = 0
 
 
 # -- exhaustive max-zeros ------------------------------------------------------------------
