@@ -56,7 +56,8 @@ def _json(payload) -> str:
 
 def _space_for(args) -> WeightedProjectiveSpace:
     """The shared space, refused up front when its point array is over the
-    CLI's tuple budget; the budget is an argument of the call."""
+    CLI's tuple budget.  This is the one check of it: the library's later
+    reads of the point array state no budget of their own."""
     sp = space(args.weights, field_from_spec(args.q))
     sp.point_coords(tuple_budget=args.tuple_budget)
     return sp

@@ -407,17 +407,17 @@ class WeightedProjectiveSpace:
 
     # -- enumeration ------------------------------------------------------------
 
-    def point_coords(self, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
+    def point_coords(self, tuple_budget: int | None = None) -> np.ndarray:
         """All canonical points as a read-only (n, m+1) index array, lex
         ascending, shared by every space with the same width table.
 
-        Every call refuses before any work starts when the array's p_m (m+1)
-        entries exceed tuple_budget.
+        A call given a tuple_budget refuses before any work starts when the
+        array's p_m (m+1) entries exceed it; a call given none checks none.
         """
         f = self.field
         npos = len(self.ws)
         entries = self.expected_point_count * npos
-        if entries > tuple_budget:
+        if tuple_budget is not None and entries > tuple_budget:
             raise BudgetExceeded(
                 f"enumerating P{self.ws.weights} over GF({f.q}) builds "
                 f"{self.expected_point_count} points of {npos} coordinates, "

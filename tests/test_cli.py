@@ -12,7 +12,8 @@ import wprm.cli as cli
 from wprm.cli import main
 from wprm.finite_field import GF
 from wprm.verify import SUITES, SuiteResult
-from wprm.weighted_space import projective_count, space
+from wprm.weighted_space import (DEFAULT_TUPLE_BUDGET, WeightedProjectiveSpace,
+                                 projective_count, space)
 
 GOLDEN = Path(__file__).parent / "golden" / "f19_table.csv"
 
@@ -111,6 +112,31 @@ def test_tuple_budget_does_not_stick_to_the_shared_space(capsys):
     assert rc == 2
     assert "budget" in err
     assert len(space((1, 2, 3), GF(7)).points()) == projective_count(7, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["points"], ["count-zeros", "--poly", "1*X0^6 + 2*X1^3 + 1*X2^2"]])
+def test_a_tuple_budget_above_the_default_holds_for_the_whole_command(
+        capsys, monkeypatch, argv):
+    # The CLI checks the budget it was given once; every later read of the
+    # point array checks that budget or none, never a default of its own,
+    # so a budget above the default is not refused halfway through.
+    budget = 3 * DEFAULT_TUPLE_BUDGET
+    read = WeightedProjectiveSpace.point_coords
+    checked = []
+
+    def spy(self, *args, **kwargs):
+        call = inspect.signature(read).bind(self, *args, **kwargs)
+        call.apply_defaults()
+        checked.append(call.arguments["tuple_budget"])
+        return read(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedProjectiveSpace, "point_coords", spy)
+    rc, _, err = run(capsys, *argv, "--weights", "1,2,3", "--q", "7",
+                     "--tuple-budget", str(budget))
+    assert rc == 0, err
+    assert checked[0] == budget
+    assert set(checked[1:]) <= {budget, None}
 
 
 def test_family_command(capsys):

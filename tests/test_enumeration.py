@@ -11,9 +11,8 @@ from wprm import weighted_space
 from wprm.codes import F19_WEIGHT_SYSTEMS
 from wprm.finite_field import GF, field_from_spec
 from wprm.verify import _weight_tuples
-from wprm.weighted_space import (DEFAULT_TUPLE_BUDGET, BudgetExceeded,
-                                 WeightedPoint, WeightedProjectiveSpace,
-                                 _strip_char, space)
+from wprm.weighted_space import (BudgetExceeded, WeightedPoint,
+                                 WeightedProjectiveSpace, _strip_char, space)
 
 _CHUNK = 1 << 18
 
@@ -56,11 +55,11 @@ class ScanSpace(WeightedProjectiveSpace):
         """Lexicographically least representative, under the index order."""
         return WeightedPoint(min(self.representatives(raw)))
 
-    def point_coords(self, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
+    def point_coords(self, tuple_budget: int | None = None) -> np.ndarray:
         f = self.field
         q, npos = f.q, len(self.ws)
         total = q ** npos
-        if total > tuple_budget:
+        if tuple_budget is not None and total > tuple_budget:
             raise BudgetExceeded(
                 f"enumerating P{self.ws.weights} over GF({q}) needs {total} "
                 f"tuples, over the budget of {tuple_budget}")
@@ -98,11 +97,11 @@ class ChainSpace(WeightedProjectiveSpace):
     """The per-support chain enumeration that the width table replaced,
     kept verbatim as the reference."""
 
-    def point_coords(self, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
+    def point_coords(self, tuple_budget: int | None = None) -> np.ndarray:
         f = self.field
         npos = len(self.ws)
         entries = self.expected_point_count * npos
-        if entries > tuple_budget:
+        if tuple_budget is not None and entries > tuple_budget:
             raise BudgetExceeded(
                 f"enumerating P{self.ws.weights} over GF({f.q}) builds "
                 f"{self.expected_point_count} points of {npos} coordinates, "

@@ -1,10 +1,12 @@
 """The package's one memo mechanism, `finite_field.shared`, and the memos
 built on it: bounded, and every array they hand out is read-only."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from wprm import cli, finite_field, weighted_poly, weighted_space, zero_sets
+from wprm import weighted_space
 from wprm.finite_field import CACHE_ENTRIES, GF, shared
 
 
@@ -70,17 +72,7 @@ def test_the_cache_is_bounded():
 
 # -- the library's memos ------------------------------------------------------------
 
-
-def _memos():
-    """Every module-level memo of the package, by module.name."""
-    for mod in (finite_field, weighted_poly, weighted_space, zero_sets, cli):
-        for name, obj in vars(mod).items():
-            if (hasattr(obj, "cache_info")
-                    and getattr(obj, "__module__", None) == mod.__name__):
-                yield f"{mod.__name__.rsplit('.', 1)[1]}.{name}", obj
-
-
-# One call of each memo whose result holds arrays.
+# One call of each memo whose result holds arrays, by module.name.
 ARRAY_CALLS = {
     "finite_field._radix": (3, 2),
     "finite_field._digits": (3, 2),
@@ -91,10 +83,6 @@ ARRAY_CALLS = {
     "zero_sets._cached_monomial_matrix": ((1, 2, 3), GF(7), 6),
     "zero_sets._torus_histogram": ((2, 3), GF(5)),
 }
-# The memos whose results hold no array.
-OTHER_MEMOS = {"finite_field._cached_field", "weighted_poly._monomial_basis",
-               "weighted_space._width_table", "weighted_space.projective_space",
-               "zero_sets._sweep_plan", "cli._parser"}
 
 
 def _arrays(value):
@@ -106,14 +94,9 @@ def _arrays(value):
             yield from _arrays(item)
 
 
-def test_every_memo_is_one_bounded_shared_cache():
-    memos = dict(_memos())
-    assert set(memos) == set(ARRAY_CALLS) | OTHER_MEMOS
-    assert {m.cache_info().maxsize for m in memos.values()} == {CACHE_ENTRIES}
-
-
 @pytest.mark.parametrize("name", sorted(ARRAY_CALLS))
 def test_memos_hand_out_read_only_arrays(name):
-    memo = dict(_memos())[name]
+    module, memo = name.split(".")
+    memo = getattr(importlib.import_module(f"wprm.{module}"), memo)
     arrays = list(_arrays(memo(*ARRAY_CALLS[name])))
     assert arrays and not any(a.flags.writeable for a in arrays)

@@ -178,7 +178,7 @@ def test_family_validation():
         build_family(FamilySpec(pair, (1,), (0, 0, 1), (0, 0, 1)), ws, fq)
 
 
-def test_family_validation_is_checked_on_every_call():
+def test_family_validation_is_remembered_only_when_valid():
     ws, fq = (2, 3, 5), GF(5)
     pair = PrimitivePair((1, 1, 0), (0, 0, 1))
     bad = FamilySpec(pair, (1, 1), (1, 1, 0), (0, 0, 1))
@@ -187,6 +187,9 @@ def test_family_validation_is_checked_on_every_call():
             bad.validate(ws, fq)
     good = FamilySpec(pair, (1, 2), (1, 1, 0), (0, 0, 1))
     good.validate(ws, fq)
+    hits = zs._validate_family.cache_info().hits
+    build_family(good, ws, fq)
+    assert zs._validate_family.cache_info().hits == hits + 1
     with pytest.raises(ValueError):  # the same spec on another field
         good.validate(ws, GF(2))
 
