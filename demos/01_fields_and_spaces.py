@@ -8,6 +8,7 @@ straight projective space of the same dimension.
 """
 
 from wprm import GF, field_from_spec, projective_count, singular_locus, space
+from wprm.weighted_space import format_point
 
 # -- fields are integer-index calculators -------------------------------------------
 
@@ -22,7 +23,7 @@ print("x * x =", F4.mul(2, 2), " (index 3 encodes x + 1)")
 # -- point enumeration ----------------------------------------------------------------
 
 sp = space((2, 3, 5), F4)
-print(f"\n{sp} has {len(sp.points())} rational points; "
+print(f"\n{sp} has {len(sp.point_coords())} rational points; "
       f"p_2 = {projective_count(4, 2)}")
 
 # A subtlety worth seeing: on P(2,3) over GF(5) the tuples (1,0) and (2,0)
@@ -30,7 +31,8 @@ print(f"\n{sp} has {len(sp.points())} rational points; "
 # needed lambda lives in an extension (a square root of 2).  The canonical
 # enumeration accounts for this, matching p_1 = 6.
 sp = space((2, 3), GF(5))
-print(f"\n{sp}: points {[str(p) for p in sp.points()]}")
+points = [format_point(row) for row in sp.point_coords().tolist()]
+print(f"\n{sp}: points {points}")
 print("representatives of (1:0):", sp.representatives((1, 0)))
 print("orbit size:", sp.orbit_size((1, 0)), "= q - 1")
 

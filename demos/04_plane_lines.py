@@ -11,8 +11,11 @@ q + 1 points and any two meet, which is what drives the sharp upper bound
 import itertools
 import sys
 
+import numpy as np
+
 from wprm import (GF, LineSystem, PlaneLine, WeightedPolynomial, count_zeros,
                   format_polynomial, monomial_basis, space)
+from wprm.weighted_space import format_point
 
 q = 5
 sp = space((1, 2, 3), GF(q))
@@ -20,15 +23,28 @@ ls = LineSystem(sp)
 lines = ls.lines()
 print(f"{sp}: {len(lines)} lines = 1 + q + q^2")
 
-pts = [ls.line_points(l) for l in lines]
-sizes = {len(p) for p in pts}
+# a line's points are a boolean mask over the rows of sp.point_coords()
+masks = np.array([ls.line_points(l) for l in lines])
+sizes = set(masks.sum(axis=1).tolist())
 sizes_ok = sizes == {q + 1}
 print("points per line:", sizes, "= {q + 1}:", sizes_ok)
 
-all_meet = all(a & b for a, b in itertools.combinations(pts, 2))
+all_meet = all((a & b).any() for a, b in itertools.combinations(masks, 2))
 print("every pair of lines meets:", all_meet)
-print("all vertical lines pass through", ls.infinity_vertex,
-      "; all non-vertical through", ls.vortex)
+
+kinds = np.array([l.kind for l in lines])
+
+
+def common_points(kind: int) -> str:
+    """The points on every line of one kind: where the AND of their masks
+    is true."""
+    on_all = masks[kinds == kind].all(axis=0)
+    return ", ".join(format_point(row)
+                     for row in sp.point_coords()[on_all].tolist())
+
+
+print("all vertical lines pass through", common_points(1),
+      "; all non-vertical through", common_points(2))
 
 # normalising a line is a graded change of variables sending it to X_i = 0;
 # it preserves degrees and zero counts, so bounds only need coordinate lines

@@ -8,8 +8,8 @@ from .weighted_space import (BudgetExceeded, DelormeStep, SingularLocusReport,
                              WeightSystem, WeightedPoint,
                              WeightedProjectiveSpace, canonicalize,
                              delorme_normalize, delorme_reduce,
-                             enumerate_points, is_well_formed, orbit_size,
-                             projective_count, singular_locus, space)
+                             is_well_formed, orbit_size, projective_count,
+                             singular_locus, space)
 from .weighted_poly import (AffinePolynomial, WeightedPolynomial,
                             dehomogenize_chart0, dim_Sd, dim_plane_formula,
                             dim_plane_equal_weight_formula, format_polynomial,

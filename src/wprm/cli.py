@@ -113,6 +113,8 @@ def cmd_points(args) -> int:
 
 
 def cmd_count_zeros(args) -> int:
+    if args.sharp and not args.bounds:
+        raise ValueError("--sharp tests the bounds, so it needs --bounds")
     sp = _space_for(args)
     poly = parse_polynomial(args.poly, sp.ws, sp.field)
     value = count_zeros(poly, sp)
@@ -178,8 +180,11 @@ def cmd_eq_search(args) -> int:
 def cmd_family(args) -> int:
     fq = field_from_spec(args.q)
     ws = as_weights(args.weights)
+    if args.t and args.ell is not None and args.ell != len(args.t):
+        raise ValueError(f"--ell {args.ell} does not match the {len(args.t)} "
+                         f"values of --t")
     pair = PrimitivePair(args.m0, args.m1)
-    t = args.t or tuple(range(1, args.ell + 1))
+    t = args.t or tuple(range(1, (args.ell or 0) + 1))
     mu0 = args.mu0 or (0,) * len(ws)
     mu1 = args.mu1 or (0,) * len(ws)
     spec = FamilySpec(pair, t, mu0, mu1)
@@ -246,8 +251,7 @@ def cmd_lines(args) -> int:
 
 def cmd_code(args) -> int:
     fq = field_from_spec(args.q)
-    inst = codes_mod.build_code(args.kind, fq, args.m, args.d,
-                                args.weights if args.kind == "wprm" else None)
+    inst = codes_mod.build_code(args.kind, fq, args.m, args.d, args.weights)
     params = codes_mod.code_parameters(inst, args.method, budget=args.budget,
                                        jobs=args.jobs)
     payload = {"kind": args.kind, "q": fq.q, "m": args.m, "d": args.d,
@@ -425,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponents of M0, e.g. 1,1,0")
     p.add_argument("--m1", required=True, type=_parse_weights,
                    help="exponents of M1")
-    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--ell", type=int,
+                   help="number of factors, t = 1..ell (default 0, or the "
+                        "length of --t)")
     p.add_argument("--t", type=_parse_weights,
                    help="explicit distinct nonzero t values")
     p.add_argument("--mu0", type=_parse_weights,

@@ -26,8 +26,8 @@ import numpy as np
 
 from .finite_field import FiniteField
 from .gflinalg import row_reduce
-from .weighted_space import (BudgetExceeded, WeightedPoint, WeightSystem,
-                             as_weights, delorme_normalize, space)
+from .weighted_space import (BudgetExceeded, WeightSystem, as_weights,
+                             delorme_normalize, space)
 from .weighted_poly import (AffinePolynomial, WeightedPolynomial,
                             coefficient_vector, monomial_basis,
                             monomial_values)
@@ -63,23 +63,22 @@ def affine_monomials(m: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def evaluation_column(poly: WeightedPolynomial, point: WeightedPoint,
-                      ws, field: FiniteField) -> int:
-    """The normalised evaluation F(x) / x_i^(d/a_i) at a canonical point.
+def evaluation_column(poly: WeightedPolynomial, coords) -> int:
+    """The normalised evaluation F(x) / x_i^(d/a_i) at the coordinate row x
+    of a point of poly's own space, i the row's first nonzero entry (its
+    chart).  The row is refused as `WeightedProjectiveSpace` refuses rows.
 
     Independent of the chosen representative of the point, provided every
     weight divides the degree.
     """
-    ws = as_weights(ws)
-    if poly.ws != ws or poly.field != field:
-        raise ValueError(f"the polynomial lives on P{poly.ws.weights} over "
-                         f"{poly.field!r}, not on P{ws.weights} over {field!r}")
-    i = point.chart_index
+    ws, field = poly.ws, poly.field
+    (row,) = space(ws, field)._checked([coords]).tolist()
+    i = next(j for j, c in enumerate(row) if c)
     if poly.degree % ws[i]:
         raise ValueError(
             f"weight a_{i} = {ws[i]} does not divide degree {poly.degree}")
-    denom = field.pow(point.coords[i], poly.degree // ws[i])
-    return field.div(poly.evaluate(point.coords), denom)
+    denom = field.pow(row[i], poly.degree // ws[i])
+    return field.div(poly.evaluate(row), denom)
 
 
 class CodeInstance:

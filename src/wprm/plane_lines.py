@@ -5,7 +5,9 @@ X0 = 0 (type 0, the line at infinity), a completed vertical affine line
 alpha X0^a1 + X1 = 0 (type 1), or a completed non-vertical one
 alpha X0^a2 + beta X1 X0^(a2-a1) + X2 = 0 (type 2).  Every line carries
 exactly q + 1 rational points and every two lines meet; type-1 lines all pass
-through (0:0:1) and type-2 lines all pass through (0:1:0).
+through (0:0:1) and type-2 lines all pass through (0:1:0).  A line's points
+are a boolean mask over the rows of the space's `point_coords()`, so the
+points two lines share are the AND of their masks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .weighted_space import WeightedPoint, WeightedProjectiveSpace, as_weights
+import numpy as np
+
+from .weighted_space import WeightedProjectiveSpace, as_weights
 from .weighted_poly import WeightedPolynomial
 from .zero_sets import zero_mask
 
@@ -96,16 +100,6 @@ class LineSystem:
         self.ws = ws
         self.field = sp.field
 
-    @property
-    def infinity_vertex(self) -> WeightedPoint:
-        """(0:0:1), the common point of all vertical lines."""
-        return self.space.canonicalize((0, 0, 1))
-
-    @property
-    def vortex(self) -> WeightedPoint:
-        """(0:1:0), the common point of all non-vertical lines."""
-        return self.space.canonicalize((0, 1, 0))
-
     def lines(self) -> list[PlaneLine]:
         q = self.field.q
         out = [PlaneLine(0)]
@@ -114,12 +108,14 @@ class LineSystem:
                 for alpha in range(q) for beta in range(q)]
         return out
 
-    def line_points(self, line: PlaneLine) -> frozenset[WeightedPoint]:
-        mask = zero_mask(line.polynomial(self.ws, self.field), self.space)
-        return frozenset(WeightedPoint(tuple(row)) for row
-                         in self.space.point_coords()[mask].tolist())
+    def line_points(self, line: PlaneLine) -> np.ndarray:
+        """The boolean mask of the line's points over the rows of
+        `space.point_coords()`."""
+        return zero_mask(line.polynomial(self.ws, self.field), self.space)
 
-    def intersect(self, l1: PlaneLine, l2: PlaneLine) -> frozenset[WeightedPoint]:
+    def intersect(self, l1: PlaneLine, l2: PlaneLine) -> np.ndarray:
+        """The mask of the points the two lines share: the AND of their
+        `line_points` masks.  A line met with itself is refused."""
         if l1 == l2:
             raise ValueError("intersection of a line with itself is the line")
         return self.line_points(l1) & self.line_points(l2)

@@ -143,14 +143,6 @@ class WeightedPoint:
 
     coords: tuple[int, ...]
 
-    @property
-    def chart_index(self) -> int:
-        """Index of the first nonzero coordinate (the W_i stratum)."""
-        for i, c in enumerate(self.coords):
-            if c:
-                return i
-        raise ValueError("zero tuple is not a point")
-
     def __str__(self):
         return format_point(self.coords)
 
@@ -425,10 +417,6 @@ class WeightedProjectiveSpace:
                 f"{tuple_budget}")
         return _canonical_points(f, _width_table(self.ws.weights, f))
 
-    def points(self) -> list[WeightedPoint]:
-        return [WeightedPoint(tuple(row))
-                for row in self.point_coords().tolist()]
-
     def stratum_sizes(self) -> list[int]:
         """Point counts of the strata W_i (first nonzero coordinate = i)."""
         coords = self.point_coords()
@@ -449,10 +437,6 @@ def space(ws, field: FiniteField) -> WeightedProjectiveSpace:
     cache miss builds (and so validates) a WeightSystem."""
     weights = ws.weights if isinstance(ws, WeightSystem) else _int_weights(ws)
     return projective_space(weights, field)
-
-
-def enumerate_points(ws, field: FiniteField) -> list[WeightedPoint]:
-    return space(ws, field).points()
 
 
 def canonicalize(ws, field: FiniteField, raw) -> WeightedPoint:

@@ -594,33 +594,27 @@ class FamilySpec:
                 + sum(a * r for a, r in zip(ws, self.mu1)))
 
     def validate(self, ws, field: FiniteField) -> None:
-        """Raise ValueError unless the spec is valid on P(ws) over field.
-
-        A valid (spec, weights, field) is remembered, so the spec generator
-        and `build_family` together check it once; an invalid one raises on
-        every call.
-        """
-        _validate_family(self, as_weights(ws).weights, field)
-
-
-@shared
-def _validate_family(spec: FamilySpec, weights: tuple[int, ...],
-                     field: FiniteField) -> None:
-    spec.pair.validate(weights)
-    if len(spec.t) != len(set(spec.t)):
-        raise ValueError("the t_i must be distinct")
-    if any(not 0 < t < field.q for t in spec.t):
-        raise ValueError("the t_i must be nonzero field elements")
-    for mu, mu_sup, sup in zip((spec.mu0, spec.mu1), spec.mu_supports,
-                               spec.pair.supports):
-        if len(mu) != len(weights):
-            raise ValueError(f"monomial {mu} has wrong arity")
-        if not set(mu_sup) <= set(sup):
-            raise ValueError(f"mu support {mu_sup} not inside pair support")
-    if spec.ell == 0 and (spec.sigma0 != spec.pair.s0
-                          or spec.sigma1 != spec.pair.s1):
-        raise ValueError("with no product factors, each mu_i must touch "
-                         "every variable of its pair monomial")
+        """Raise ValueError unless the spec is valid on P(ws) over field:
+        a valid primitive pair, distinct nonzero t_i in the field, and mu_i
+        inside the support of M_i, the whole of it when there are no t_i.
+        `build_family` calls it once per polynomial it builds."""
+        ws = as_weights(ws)
+        self.pair.validate(ws)
+        if len(self.t) != len(set(self.t)):
+            raise ValueError("the t_i must be distinct")
+        if any(not 0 < t < field.q for t in self.t):
+            raise ValueError("the t_i must be nonzero field elements")
+        for mu, mu_sup, sup in zip((self.mu0, self.mu1), self.mu_supports,
+                                   self.pair.supports):
+            if len(mu) != len(ws):
+                raise ValueError(f"monomial {mu} has wrong arity")
+            if not set(mu_sup) <= set(sup):
+                raise ValueError(f"mu support {mu_sup} not inside pair "
+                                 f"support")
+        if self.ell == 0 and (self.sigma0 != self.pair.s0
+                              or self.sigma1 != self.pair.s1):
+            raise ValueError("with no product factors, each mu_i must touch "
+                             "every variable of its pair monomial")
 
 
 def build_family(spec: FamilySpec, ws, field: FiniteField) -> WeightedPolynomial:

@@ -13,7 +13,7 @@ from wprm import verify
 from wprm.cli import main
 from wprm.codes import build_code, comparison_table, lambda_display
 from wprm.finite_field import GF
-from wprm.plane_lines import PlaneLine
+from wprm.plane_lines import LineSystem, PlaneLine
 from wprm.verify import (suite_bounds, suite_classical_max, suite_delorme,
                          suite_family_counts, suite_lines, suite_plane_max,
                          suite_point_counts, suite_small_code_distance,
@@ -226,16 +226,15 @@ def test_lines_suite_reports_a_wrong_incidence(monkeypatch):
     sp = space(ws, fq)
     coords = sp.point_coords().tolist()
     dropped = {PlaneLine(0): (0, 0, 1), PlaneLine(1, 0): (1, 0, 0)}
-    right = verify.zero_mask
+    right = LineSystem.line_points
 
-    def wrong_mask(poly, space_):
-        mask = right(poly, space_).copy()
-        for line, pt in dropped.items():
-            if poly == line.polynomial(ws, fq):
-                mask[coords.index(list(pt))] = False
+    def wrong_mask(self, line):
+        mask = right(self, line).copy()
+        if line in dropped:
+            mask[coords.index(list(dropped[line]))] = False
         return mask
 
-    monkeypatch.setattr(verify, "zero_mask", wrong_mask)
+    monkeypatch.setattr(LineSystem, "line_points", wrong_mask)
     res = suite_lines(qs=(3,), weight_systems=[ws])
     at = "on P(1, 2, 3)(F_3)"
     assert res.failures == [

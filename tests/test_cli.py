@@ -111,7 +111,8 @@ def test_tuple_budget_does_not_stick_to_the_shared_space(capsys):
                      "--tuple-budget", "10")
     assert rc == 2
     assert "budget" in err
-    assert len(space((1, 2, 3), GF(7)).points()) == projective_count(7, 2)
+    coords = space((1, 2, 3), GF(7)).point_coords()
+    assert len(coords) == projective_count(7, 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -168,6 +169,33 @@ def test_code_command(capsys, tmp_path):
     assert payload["lambda_display"] == "0.716..."
     header = matrix.read_text().split("\n")[0]
     assert header == "19 2 16 1,2,2 381 45"
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("prm", "projective Reed-Muller codes take no weights"),
+    ("rm", "plain Reed-Muller codes take no weights"),
+])
+def test_code_refuses_weights_for_an_unweighted_kind(capsys, kind, message):
+    argv = ["code", "--kind", kind, "--q", "3", "--d", "2", "--weights",
+            "1,2,3", "--format", "json"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_family_refuses_an_ell_that_does_not_match_t(capsys):
+    rc, out, err = run(capsys, *FAMILY_ARGV, "--ell", "3", "--t", "1,2")
+    assert (rc, out) == (2, "")
+    assert err == "error: --ell 3 does not match the 2 values of --t\n"
+    rc, out, _ = run(capsys, *FAMILY_ARGV, "--ell", "2", "--t", "1,2",
+                     "--format", "json")
+    assert rc == 0 and json.loads(out)["t"] == [1, 2]
+
+
+def test_count_zeros_refuses_sharp_without_bounds(capsys):
+    rc, out, err = run(capsys, "count-zeros", "--weights", "1,2,3", "--q",
+                       "3", "--poly", "1*X0^6 + 2*X1^3 + 1*X2^2", "--sharp")
+    assert (rc, out) == (2, "")
+    assert err == "error: --sharp tests the bounds, so it needs --bounds\n"
 
 
 def test_verify_command(capsys):

@@ -87,11 +87,10 @@ def test_encode_normalisation_examples():
     for i, exps in enumerate([(2, 0, 0), (0, 2, 0), (0, 0, 1)]):
         F = WeightedPolynomial.monomial(ws, fq, exps)
         cw = encode(inst, F)
-        for pt, val in zip(sp.points(), cw):
-            if pt.chart_index == i:
-                assert val == 1
-        assert all(evaluation_column(F, pt, ws, fq) ==
-                   int(v) for pt, v in zip(sp.points(), cw))
+        coords = sp.point_coords()
+        chart = (coords != 0).argmax(axis=1)
+        assert (cw[chart == i] == 1).all()
+        assert [evaluation_column(F, row) for row in coords] == cw.tolist()
 
 
 def test_column_is_representative_independent():
@@ -103,10 +102,10 @@ def test_column_is_representative_independent():
     rng = np.random.default_rng(2)
     coeffs = rng.integers(0, 5, len(basis))
     F = WeightedPolynomial.from_coefficients(ws, fq, d, basis, coeffs)
-    for pt in sp.points():
-        i = pt.chart_index
+    for row in sp.point_coords().tolist():
+        i = next(j for j, c in enumerate(row) if c)
         vals = set()
-        for rep in sp.representatives(pt.coords):
+        for rep in sp.representatives(row):
             denom = fq.pow(rep[i], d // ws[i])
             vals.add(fq.div(F.evaluate(rep), denom))
         assert len(vals) == 1
@@ -153,15 +152,17 @@ def test_encode_refuses_a_polynomial_from_another_field():
         encode(rm, AffinePolynomial(GF(5), 2, {(1, 0): 4}))
 
 
-def test_evaluation_column_refuses_a_polynomial_from_another_ring():
+def test_evaluation_column_refuses_a_row_that_is_no_point():
+    # The row is refused as the polynomial's own space refuses rows.
     ws, fq = (1, 2, 3), GF(7)
-    pt = space(ws, fq).canonicalize((1, 0, 2))
-    for F in (parse_polynomial("1*X0^2 + 1*X1", (1, 2, 2), fq),
-              parse_polynomial("1*X0^2 + 1*X1", ws, GF(5))):
-        with pytest.raises(ValueError, match="lives on"):
-            evaluation_column(F, pt, ws, fq)
     F = parse_polynomial("1*X0^6 + 1*X2^2", ws, fq)
-    assert evaluation_column(F, pt, ws, fq) == 5  # 1 + 2^2 at (1:0:2)
+    assert evaluation_column(F, (1, 0, 2)) == 5  # 1 + 2^2 at (1:0:2)
+    assert evaluation_column(F, np.array([0, 0, 3])) == 1  # 3^2 / 3^2
+    with pytest.raises(ValueError, match="zero tuple"):
+        evaluation_column(F, (0, 0, 0))
+    for row in [(1, 0, 7), (1, -1, 0), (1, 0)]:
+        with pytest.raises(ValueError, match="elements of GF\\(7\\)"):
+            evaluation_column(F, row)
 
 
 def test_small_weighted_code():

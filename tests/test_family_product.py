@@ -14,8 +14,7 @@ from wprm.finite_field import GF, field_from_spec
 from wprm.plane_lines import LineSystem
 from wprm.verify import _FAMILY_WS, generate_family_specs
 from wprm.weighted_poly import WeightedPolynomial, monomial_basis
-from wprm.weighted_space import (WeightedPoint, as_weights, delorme_reduce,
-                                 space)
+from wprm.weighted_space import as_weights, delorme_reduce, space
 from wprm.zero_sets import (FamilySpec, PrimitivePair, build_family,
                             count_zeros)
 
@@ -87,6 +86,21 @@ def test_geometry_specs_match_dict_product(seed):
     assert (101, 100) in ells and (81, 80) in ells  # the longest products
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       st.sampled_from(["2", "3", "4", "5", "7", "8", "9"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+def test_generated_specs_are_valid(raw, q, seed, pair_cap):
+    # The generator keeps every spec it draws, so each must be valid by
+    # construction.  Dividing out the gcd draws every weight system with
+    # m <= 3 and entries <= 6 directly, with no filter.
+    ws = as_weights([a // math.gcd(*raw) for a in raw])
+    fq = field_from_spec(q)
+    rng = np.random.default_rng(seed)
+    for spec in generate_family_specs(ws, fq, rng, pair_cap=pair_cap):
+        spec.validate(ws, fq)
+
+
 @st.composite
 def family_specs(draw, fq):
     """A valid FamilySpec on drawn weights, with l = 0 and l = q - 1 often."""
@@ -155,12 +169,10 @@ def test_evaluation_column_ignores_the_representative(fq, data):
     ws = tuple(data.draw(weight_lists(npos, 3)))
     d = math.lcm(*ws) * data.draw(st.integers(1, 2))
     F = _poly(data.draw, ws, fq, d)
-    pt = data.draw(st.sampled_from(space(ws, fq).points()))
+    row = data.draw(st.sampled_from(space(ws, fq).point_coords().tolist()))
     lam = data.draw(st.integers(1, fq.q - 1))
-    moved = WeightedPoint(tuple(fq.mul(fq.pow(lam, a), x)
-                                for a, x in zip(ws, pt.coords)))
-    assert (evaluation_column(F, moved, ws, fq)
-            == evaluation_column(F, pt, ws, fq))
+    moved = [fq.mul(fq.pow(lam, a), x) for a, x in zip(ws, row)]
+    assert evaluation_column(F, moved) == evaluation_column(F, row)
 
 
 @settings(max_examples=100, deadline=None)

@@ -35,44 +35,55 @@ def test_catalog_size():
         assert len(ls.lines()) == 1 + q + q * q
 
 
+def row_of(ls, coords) -> int:
+    """The index of the point with these canonical coordinates among the
+    rows of the space's point_coords()."""
+    (i,) = np.flatnonzero((ls.space.point_coords() == coords).all(axis=1))
+    return int(i)
+
+
 def test_every_line_has_q_plus_1_points():
     for q in (2, 3, 5):
         ls = system(q=q)
         for line in ls.lines():
-            assert len(ls.line_points(line)) == q + 1
+            mask = ls.line_points(line)
+            assert mask.dtype == bool
+            assert mask.shape == (ls.space.expected_point_count,)
+            assert mask.sum() == q + 1
 
 
 def test_line_at_infinity_is_small_weighted_line():
     ls = system(q=3)
-    pts = ls.line_points(PlaneLine(0))
-    assert len(pts) == 4
-    assert all(p.coords[0] == 0 for p in pts)
+    mask = ls.line_points(PlaneLine(0))
+    assert mask.sum() == 4
+    assert (ls.space.point_coords()[mask, 0] == 0).all()
 
 
 def test_vertical_line_through_origin():
     ls = system(q=3)
-    pts = ls.line_points(PlaneLine(1, 0))
-    assert ls.infinity_vertex in pts
-    affine = {p.coords for p in pts if p.coords[0] != 0}
+    mask = ls.line_points(PlaneLine(1, 0))
+    assert mask[row_of(ls, (0, 0, 1))]
+    rows = ls.space.point_coords()[mask]
+    affine = {tuple(r) for r in rows.tolist() if r[0] != 0}
     assert affine == {(1, 0, y) for y in range(3)}
 
 
 def test_type2_lines_share_the_vortex():
     ls = system(q=3)
-    vortex = ls.vortex
+    vortex = row_of(ls, (0, 1, 0))
     for alpha in range(3):
         for beta in range(3):
-            assert vortex in ls.line_points(PlaneLine(2, alpha, beta))
+            assert ls.line_points(PlaneLine(2, alpha, beta))[vortex]
 
 
 def test_intersections():
     ls = system(q=3)
-    assert ls.intersect(PlaneLine(1, 0), PlaneLine(1, 2)) == \
-        frozenset({ls.infinity_vertex})
+    meet = ls.intersect(PlaneLine(1, 0), PlaneLine(1, 2))
+    assert np.flatnonzero(meet).tolist() == [row_of(ls, (0, 0, 1))]
     meet = ls.intersect(PlaneLine(2, 0, 1), PlaneLine(2, 1, 2))
-    assert ls.vortex in meet
+    assert meet[row_of(ls, (0, 1, 0))]
     got = ls.intersect(PlaneLine(1, 0), PlaneLine(2, 0, 0))
-    assert {p.coords for p in got} == {(1, 0, 0)}
+    assert ls.space.point_coords()[got].tolist() == [[1, 0, 0]]
     with pytest.raises(ValueError):
         ls.intersect(PlaneLine(0), PlaneLine(0))
 
@@ -80,20 +91,20 @@ def test_intersections():
 def test_every_pair_of_lines_meets():
     for q in (2, 3):
         ls = system(q=q)
-        pts = [ls.line_points(l) for l in ls.lines()]
-        for a, b in itertools.combinations(range(len(pts)), 2):
-            assert pts[a] & pts[b]
+        masks = [ls.line_points(l) for l in ls.lines()]
+        for a, b in itertools.combinations(range(len(masks)), 2):
+            assert (masks[a] & masks[b]).any()
 
 
 def test_affine_incidence_counts():
     q = 3
     ls = system(q=q)
     lines = ls.lines()
-    pts = [ls.line_points(l) for l in lines]
-    for pt in ls.space.points():
-        if pt.coords[0] == 0:
+    masks = [ls.line_points(l) for l in lines]
+    for i, row in enumerate(ls.space.point_coords().tolist()):
+        if row[0] == 0:
             continue
-        through = [l for l, P in zip(lines, pts) if pt in P]
+        through = [l for l, mask in zip(lines, masks) if mask[i]]
         assert sum(1 for l in through if l.kind == 1) == 1
         assert sum(1 for l in through if l.kind == 2) == q
         assert len(through) == q + 1

@@ -217,9 +217,8 @@ def test_affine_zero_correspondence():
         affine_zeros = sum(
             1 for y in itertools.product(range(q), repeat=2)
             if f.evaluate(y) == 0)
-        chart_zeros = sum(1 for pt in sp.points()
-                          if pt.coords[0] != 0
-                          and F.evaluate(pt.coords) == 0)
+        chart_zeros = sum(1 for row in sp.point_coords().tolist()
+                          if row[0] != 0 and F.evaluate(row) == 0)
         assert affine_zeros == chart_zeros
 
 

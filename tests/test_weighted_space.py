@@ -5,14 +5,19 @@ import pytest
 
 from wprm.finite_field import GF, field_from_spec
 from wprm.verify import _reduction_steps
-from wprm.weighted_space import (BudgetExceeded, WeightSystem, WeightedPoint,
+from wprm.weighted_space import (BudgetExceeded, WeightSystem,
                                  WeightedProjectiveSpace, as_weights,
                                  canonicalize, delorme_normalize,
-                                 delorme_reduce, enumerate_points,
-                                 is_well_formed, orbit_size, projective_count,
-                                 singular_locus, space)
+                                 delorme_reduce, is_well_formed, orbit_size,
+                                 projective_count, singular_locus, space)
 from wprm.weighted_poly import WeightedPolynomial, monomial_basis
 from wprm.zero_sets import max_zeros
+
+
+def point_rows(ws, fq) -> list[tuple[int, ...]]:
+    """The canonical points of P(ws) over fq as tuples, in enumeration
+    order."""
+    return [tuple(r) for r in space(ws, fq).point_coords().tolist()]
 
 
 def brute_closure_classes(weights, p, ext_degree):
@@ -55,7 +60,7 @@ ORACLE_CASES = [
 def test_classes_match_closure_oracle(weights, p, t):
     classes = brute_closure_classes(weights, p, t)
     sp = space(weights, GF(p))
-    assert {min(c) for c in classes} == {pt.coords for pt in sp.points()}
+    assert {min(c) for c in classes} == set(point_rows(weights, GF(p)))
     for cls in classes:
         x = next(iter(cls))
         assert set(sp.representatives(x)) == cls
@@ -67,22 +72,21 @@ def test_point_counts_small_grid():
         fq = field_from_spec(str(q))
         for ws in [(1, 1), (1, 2), (2, 3), (1, 1, 1), (1, 2, 3), (2, 3, 5),
                    (1, 1, 2, 2)]:
-            pts = enumerate_points(ws, fq)
+            pts = point_rows(ws, fq)
             m = len(ws) - 1
             assert len(pts) == projective_count(q, m), (ws, q)
-            assert len({p.coords for p in pts}) == len(pts)
+            assert len(set(pts)) == len(pts)
 
 
 def test_spec_point_examples():
-    assert len(enumerate_points((2, 3, 5), GF(2, 2))) == 21
-    assert len(enumerate_points((1,), GF(7))) == 1
-    assert [p.coords for p in enumerate_points((1, 1), GF(2))] == \
-        [(0, 1), (1, 0), (1, 1)]
+    assert len(point_rows((2, 3, 5), GF(2, 2))) == 21
+    assert len(point_rows((1,), GF(7))) == 1
+    assert point_rows((1, 1), GF(2)) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_frozen_points_of_p23_f5():
     # hand-computed canonical representatives; (t, 0) is a single point here
-    got = [p.coords for p in enumerate_points((2, 3), GF(5))]
+    got = point_rows((2, 3), GF(5))
     assert got == [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
 
 
@@ -94,9 +98,9 @@ def test_canonicalize_examples():
     assert sp.canonicalize((2, 4)).coords == (1, 2)
     # idempotence across every point of a few spaces
     for ws, q in [((2, 3, 5), 4), ((1, 2, 3), 3), ((2, 3), 5)]:
-        spx = space(ws, field_from_spec(str(q)))
-        for pt in spx.points():
-            assert spx.canonicalize(pt.coords) == pt
+        fq = field_from_spec(str(q))
+        for row in point_rows(ws, fq):
+            assert space(ws, fq).canonicalize(row).coords == row
 
 
 def test_orbit_sizes_always_q_minus_1():
@@ -115,10 +119,10 @@ def test_counts_hold_when_characteristic_divides_weights():
         fq = field_from_spec(spec)
         sp = space(ws, fq)
         assert sp.char_divides_weight
-        pts = sp.points()
+        pts = point_rows(ws, fq)
         assert len(pts) == projective_count(fq.q, sp.m)
-        for pt in pts[:5]:
-            assert sp.orbit_size(pt.coords) == fq.q - 1
+        for row in pts[:5]:
+            assert sp.orbit_size(row) == fq.q - 1
 
 
 def test_delorme_bijection_extension_field():
@@ -249,8 +253,8 @@ def test_delorme_point_bijection():
     src, red = space((2, 1, 2), fq), space((1, 1, 1), fq)
     image = step.map_points(fq, src.point_coords())
     assert {tuple(r) for r in image.tolist()} == \
-        {pt.coords for pt in red.points()}
-    assert len(image) == len(src.points()) == red.expected_point_count
+        set(point_rows((1, 1, 1), fq))
+    assert len(image) == len(src.point_coords()) == red.expected_point_count
 
 
 def map_coords(step, field, coords) -> tuple[int, ...]:
@@ -259,11 +263,12 @@ def map_coords(step, field, coords) -> tuple[int, ...]:
         for j, c in enumerate(coords))
 
 
-def map_point(step, field, pt: WeightedPoint) -> WeightedPoint:
-    """The scalar point map that `DelormeStep.map_points` replaced, kept
-    verbatim (as a function of the step) as its reference."""
+def map_point(step, field, coords) -> tuple[int, ...]:
+    """The scalar point map that `DelormeStep.map_points` replaced, kept as
+    a function of the step and of one point's coordinates, as its
+    reference."""
     return space(step.reduced, field).canonicalize(
-        map_coords(step, field, pt.coords))
+        map_coords(step, field, coords)).coords
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -275,8 +280,8 @@ def test_map_points_matches_the_scalar_map_row_by_row(q):
         src = space(source, fq)
         got = step.map_points(fq, src.point_coords())
         assert got.dtype == np.int64
-        assert [tuple(r) for r in got.tolist()] == \
-            [map_point(step, fq, pt).coords for pt in src.points()], step
+        want = [map_point(step, fq, row) for row in point_rows(source, fq)]
+        assert [tuple(r) for r in got.tolist()] == want, step
 
 
 @pytest.mark.parametrize("row,message", [
