@@ -10,11 +10,9 @@ from .weighted_space import (BudgetExceeded, DelormeStep, SingularLocusReport,
                              delorme_normalize, delorme_reduce,
                              is_well_formed, orbit_size, projective_count,
                              singular_locus, space)
-from .weighted_poly import (AffinePolynomial, WeightedPolynomial,
-                            dehomogenize_chart0, dim_Sd, dim_plane_formula,
+from .weighted_poly import (WeightedPolynomial, dim_Sd, dim_plane_formula,
                             dim_plane_equal_weight_formula, format_polynomial,
-                            homogenize_chart0, monomial_basis,
-                            parse_polynomial, weighted_degree)
+                            monomial_basis, parse_polynomial, weighted_degree)
 from .zero_sets import (BoundReport, FamilySpec, MaxZerosResult, PrimitivePair,
                         build_family, check_bounds, count_zeros,
                         count_zeros_affine, family_zero_count,

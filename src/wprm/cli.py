@@ -115,6 +115,9 @@ def cmd_points(args) -> int:
 def cmd_count_zeros(args) -> int:
     if args.sharp and not args.bounds:
         raise ValueError("--sharp tests the bounds, so it needs --bounds")
+    if args.budget is not None and not args.sharp:
+        raise ValueError("--budget bounds the sharpness search, so it "
+                         "needs --sharp")
     sp = _space_for(args)
     poly = parse_polynomial(args.poly, sp.ws, sp.field)
     value = count_zeros(poly, sp)
@@ -124,7 +127,10 @@ def cmd_count_zeros(args) -> int:
     if sp.ws[0] == 1:
         payload["affine_value"] = count_zeros_affine(poly, sp)
     if args.bounds:
-        budget = args.budget if args.sharp else None
+        budget = None
+        if args.sharp:
+            budget = (DEFAULT_CANDIDATE_BUDGET if args.budget is None
+                      else args.budget)
         payload["bounds"] = [
             {"name": r.name, "value": r.value, "bound": r.bound,
              "satisfied": r.satisfied, "sharp": r.sharp}
@@ -180,6 +186,9 @@ def cmd_eq_search(args) -> int:
 def cmd_family(args) -> int:
     fq = field_from_spec(args.q)
     ws = as_weights(args.weights)
+    if args.ell is not None and args.ell < 0:
+        raise ValueError(f"--ell counts factors, so it is >= 0, got "
+                         f"{args.ell}")
     if args.t and args.ell is not None and args.ell != len(args.t):
         raise ValueError(f"--ell {args.ell} does not match the {len(args.t)} "
                          f"values of --t")
@@ -410,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_points)
 
     p = sub.add_parser("count-zeros", help="count zeros of a polynomial")
-    common(p, "budget", "tuple-budget")
+    common(p, "tuple-budget")
+    p.add_argument("--budget", type=int, help=(
+        "cap on the tails the --sharp search visits (default "
+        f"{DEFAULT_CANDIDATE_BUDGET})"))
     p.add_argument("--poly", required=True,
                    help="polynomial text, e.g. '1*X0^2*X1 + 3*X2'")
     p.add_argument("--bounds", action="store_true")

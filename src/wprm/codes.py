@@ -1,17 +1,23 @@
 """Reed-Muller, projective Reed-Muller and weighted projective Reed-Muller
 codes: generator matrices, exact parameters, and performance comparisons.
 
-Generator matrices are reproducible bit for bit: rows follow the lex monomial
-basis, columns the canonical point enumeration (for projective points this is
-the "first nonzero coordinate equals 1" convention).  The minimum distance is
-only ever reported as exact when a formula with verified hypotheses or an
-exhaustive enumeration produced it; otherwise an explicit witness codeword
-certifies an upper bound.  The exhaustive enumeration is the max-zeros sweep:
-d_min = n - (most zeros of a nonzero codeword).  It sweeps the independent
-rows of the generator matrix with their monomials' exponents, so it visits
-one codeword per torus orbit; its budget bounds the visited tails.  One
-forward elimination per instance, which stops at full row rank, picks those
-rows, and the dimension k is their count.
+Every kind is an evaluation code of S_d on a weighted projective space, built
+by one path.  Generator matrices are reproducible bit for bit: rows follow the
+lex monomial basis, columns the canonical point enumeration (for projective
+points this is the "first nonzero coordinate equals 1" convention).  RM_q(d, m)
+is PRM_q(d, m) read on the chart x_0 != 0 of P^m: its columns are the q^m
+points (1, y), y in lex order, and its rows the degree-d monomials in the lex
+order of their X_1..X_m exponents; a polynomial in y of degree <= d enters as
+its homogenisation in X_0.
+
+The minimum distance is only ever reported as exact when a formula with
+verified hypotheses or an exhaustive enumeration produced it; otherwise an
+explicit witness codeword certifies an upper bound.  The exhaustive
+enumeration is the max-zeros sweep: d_min = n - (most zeros of a nonzero
+codeword).  It sweeps the independent rows of the generator matrix with their
+monomials' exponents, so it visits one codeword per torus orbit; its budget
+bounds the visited tails.  One forward elimination per instance, which stops
+at full row rank, picks those rows, and the dimension k is their count.
 """
 
 from __future__ import annotations
@@ -28,39 +34,14 @@ from .finite_field import FiniteField
 from .gflinalg import row_reduce
 from .weighted_space import (BudgetExceeded, WeightSystem, as_weights,
                              delorme_normalize, space)
-from .weighted_poly import (AffinePolynomial, WeightedPolynomial,
-                            coefficient_vector, monomial_basis,
-                            monomial_values)
+from .weighted_poly import (WeightedPolynomial, coefficient_vector,
+                            monomial_basis, monomial_values)
 from .zero_sets import (DEFAULT_CANDIDATE_BUDGET, _max_zeros_sweep,
-                        binary_form_coefficients, lower_bound_witness,
-                        min_pair_lcm)
+                        lower_bound_witness, min_pair_lcm)
 
 KINDS = ("rm", "prm", "wprm")
 
 F19_WEIGHT_SYSTEMS = ((1, 2, 2), (1, 2, 4), (1, 2, 8), (1, 4, 4), (1, 16, 16))
-
-
-def affine_points(field: FiniteField, m: int) -> np.ndarray:
-    """All q^m affine tuples, lex ascending with the first coordinate most significant."""
-    q = field.q
-    keys = np.arange(q ** m, dtype=np.int64)
-    radix = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return (keys[:, None] // radix) % q
-
-
-def affine_monomials(m: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples in m variables with total degree <= d, lex ascending."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, budget: int, prefix: tuple[int, ...]):
-        if i == m:
-            out.append(prefix)
-            return
-        for r in range(budget + 1):
-            rec(i + 1, budget - r, prefix + (r,))
-
-    rec(0, d, ())
-    return out
 
 
 def evaluation_column(poly: WeightedPolynomial, coords) -> int:
@@ -78,14 +59,15 @@ def evaluation_column(poly: WeightedPolynomial, coords) -> int:
         raise ValueError(
             f"weight a_{i} = {ws[i]} does not divide degree {poly.degree}")
     denom = field.pow(row[i], poly.degree // ws[i])
-    return field.div(poly.evaluate(row), denom)
+    (value,) = poly.evaluate_many([row]).tolist()
+    return field.div(value, denom)
 
 
 class CodeInstance:
     """A built evaluation code with its generator matrix."""
 
     def __init__(self, kind: str, field: FiniteField, m: int, d: int,
-                 ws: WeightSystem | None, points: np.ndarray,
+                 ws: WeightSystem, points: np.ndarray,
                  basis: list[tuple[int, ...]], normalizers: np.ndarray,
                  matrix: np.ndarray):
         self.kind = kind
@@ -119,7 +101,7 @@ class CodeInstance:
         return len(self.rows)
 
     def __repr__(self):
-        tag = f"; {self.ws.weights}" if self.ws is not None else ""
+        tag = f"; {self.ws.weights}" if self.kind != "rm" else ""
         return (f"CodeInstance({self.kind.upper()}_{self.q}"
                 f"({self.d},{self.m}{tag}), n={self.n})")
 
@@ -130,42 +112,35 @@ def build_code(kind: str, field: FiniteField, m: int, d: int,
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     q = field.q
-    ws = None
-    if kind == "rm":
-        if weights is not None:
-            raise ValueError("plain Reed-Muller codes take no weights")
-        points = affine_points(field, m)
-        basis = affine_monomials(m, d)
-        normalizers = np.ones(len(points), dtype=np.int64)
-        if d >= q:
-            warnings.warn(f"RM with d = {d} >= q = {q}: the evaluation map "
-                          f"need not be injective; dimension is the matrix rank")
+    if kind == "wprm":
+        if weights is None:
+            raise ValueError("weighted codes need a weight system")
+        ws = as_weights(weights)
+        if ws.m != m:
+            raise ValueError(f"weights {ws} do not match dimension {m}")
+        if d % ws.lcm:
+            raise ValueError(
+                f"degree {d} is not a multiple of lcm{ws.weights} = {ws.lcm}")
     else:
-        if kind == "prm":
-            if weights is not None:
-                raise ValueError("projective Reed-Muller codes take no weights")
-            ws = WeightSystem((1,) * (m + 1))
-        else:
-            if weights is None:
-                raise ValueError("weighted codes need a weight system")
-            ws = as_weights(weights)
-            if ws.m != m:
-                raise ValueError(f"weights {ws} do not match dimension {m}")
-            if d % ws.lcm:
-                raise ValueError(
-                    f"degree {d} is not a multiple of lcm{ws.weights} = {ws.lcm}")
-        sp = space(ws, field)
-        points = sp.point_coords()
-        basis = monomial_basis(ws, d)
-        # Column j is divided by x_c^(d/a_c), c the first nonzero coordinate
-        # of point j (1 for PRM, whose points lead with a 1).
-        chart = (points != 0).argmax(axis=1)
-        powers = monomial_values(field, points, np.diag([d // a for a in ws]))
-        normalizers = field.inv_arr(powers[chart, np.arange(len(points))])
-        if d > q:
-            warnings.warn(f"{kind.upper()} with d = {d} > q = {q}: the "
-                          f"evaluation map need not be injective; dimension "
-                          f"is the matrix rank")
+        if weights is not None:
+            plain = "plain" if kind == "rm" else "projective"
+            raise ValueError(f"{plain} Reed-Muller codes take no weights")
+        ws = WeightSystem((1,) * (m + 1))
+    points = space(ws, field).point_coords()
+    basis = monomial_basis(ws, d)
+    if kind == "rm":
+        points = points[points[:, 0] != 0]
+        basis.sort(key=lambda exps: exps[1:])
+    # Column j is divided by x_c^(d/a_c), c the first nonzero coordinate
+    # of point j (1 for RM and PRM, whose points lead with a 1).
+    chart = (points != 0).argmax(axis=1)
+    powers = monomial_values(field, points, np.diag([d // a for a in ws]))
+    normalizers = field.inv_arr(powers[chart, np.arange(len(points))])
+    if d > (q - 1 if kind == "rm" else q):
+        sign = ">=" if kind == "rm" else ">"
+        warnings.warn(f"{kind.upper()} with d = {d} {sign} q = {q}: the "
+                      f"evaluation map need not be injective; dimension "
+                      f"is the matrix rank")
     matrix = field.mul_arr(monomial_values(field, points, basis),
                            normalizers[None, :])
     return CodeInstance(kind, field, m, d, ws, points, basis, normalizers,
@@ -173,23 +148,16 @@ def build_code(kind: str, field: FiniteField, m: int, d: int,
 
 
 def encode(inst: CodeInstance, poly) -> np.ndarray:
-    """Codeword of a polynomial (affine for RM, weighted homogeneous otherwise).
+    """Codeword of a weighted homogeneous polynomial of the code's degree
+    (on P(1, ..., 1) for RM and PRM).
 
     The codeword is the coefficient vector over the basis times the generator
     matrix, whose columns already carry the normalisers.
     """
-    if inst.kind == "rm":
-        if not isinstance(poly, AffinePolynomial):
-            raise TypeError("RM encodes affine polynomials")
-        if poly.nvars != inst.m:
-            raise ValueError("variable count mismatch")
-        if poly.total_degree > inst.d:
-            raise ValueError(f"degree {poly.total_degree} exceeds order {inst.d}")
-    else:
-        if not isinstance(poly, WeightedPolynomial):
-            raise TypeError("projective codes encode weighted polynomials")
-        if poly.ws != inst.ws or poly.degree != inst.d:
-            raise ValueError("polynomial does not match the code's graded piece")
+    if not isinstance(poly, WeightedPolynomial):
+        raise TypeError("codes encode weighted polynomials")
+    if poly.ws != inst.ws or poly.degree != inst.d:
+        raise ValueError("polynomial does not match the code's graded piece")
     if poly.field != inst.field:
         raise ValueError(f"the polynomial lives over {poly.field!r}, not "
                          f"over the code's {inst.field!r}")
@@ -259,15 +227,13 @@ def min_distance_formula(inst: CodeInstance) -> tuple[int | None, str]:
 
 def min_distance_witness(inst: CodeInstance):
     """(codeword, weight, polynomial) certifying d_min <= weight, or None."""
-    q, m, d, f = inst.q, inst.m, inst.d, inst.field
+    q, d, f = inst.q, inst.d, inst.field
     if inst.kind == "rm":
         if d >= q or d == 0:
             return None
-        # prod_{c < d} (X0 - c): entry j multiplies X0^(d-j).
-        coeffs = binary_form_coefficients([(1, c) for c in range(d)], f)
-        terms = {(d - j,) + (0,) * (m - 1): c
-                 for j, c in enumerate(coeffs) if c}
-        poly = AffinePolynomial(f, m, terms)
+        # prod_{c < d} (X_1 - c X_0), zero on the d hyperplanes y_1 = c.
+        poly = lower_bound_witness(inst.ws, d, f, pair=(1, 0),
+                                   line_points=[(1, c) for c in range(d)])
     else:
         a, _ = min_pair_lcm(inst.ws)
         if d % a or d // a > q:
@@ -439,7 +405,7 @@ def lambda_threshold_checks(entries: list[TableEntry]) -> list[ThresholdCheck]:
 
 def export_generator_matrix(inst: CodeInstance) -> str:
     """Plain-text matrix: header `q m d weights n k`, then one row per line."""
-    wtxt = ",".join(map(str, inst.ws.weights)) if inst.ws is not None else "-"
+    wtxt = ",".join(map(str, inst.ws.weights)) if inst.kind != "rm" else "-"
     lines = [f"{inst.q} {inst.m} {inst.d} {wtxt} {inst.n} {inst.rank}"]
     for row in inst.matrix:
         lines.append(" ".join(str(int(c)) for c in row))

@@ -1,10 +1,11 @@
-"""Weighted homogeneous polynomials: graded monomial bases, evaluation,
-and the affine chart dictionary for weight systems with a_0 = 1.
+"""Weighted homogeneous polynomials: graded monomial bases, evaluation and
+a text format.
 
-Every vectorised evaluation in the library goes through `monomial_values`,
-the matrix of monomial values at a set of points; a polynomial's values are
-its coefficient vector times that matrix over GF(q).  The scalar `evaluate`
-methods are the pure-Python reference the tests compare it with.
+Every evaluation in the library goes through `monomial_values`, the matrix
+of monomial values at a set of coordinate rows; a polynomial's values are
+its coefficient vector times that matrix over GF(q) (`evaluate_many`, also
+for a single row).  A polynomial on the chart x_0 != 0 of P^m is its
+homogenisation in X_0, so the Reed-Muller codes need no second type.
 
 A polynomial is a sparse map from exponent tuples to nonzero coefficient
 indices, all terms sharing one weighted degree.  Bases are emitted in
@@ -92,21 +93,6 @@ def monomial_values(field: FiniteField, coords, exponents) -> np.ndarray:
     out = field.exp_table[(E @ logs.T) % (field.q - 1)]
     out[(E > 0).astype(np.int64) @ zero.T.astype(np.int64) > 0] = 0
     return out
-
-
-def _evaluate_terms(field: FiniteField, terms: dict, coords) -> int:
-    # Scalar sum of c * x^e over the terms; the pure-Python reference that
-    # the tests hold monomial_values and evaluate_many to.
-    total = 0
-    for exps, coeff in terms.items():
-        v = coeff
-        for x, r in zip(coords, exps):
-            if r:
-                v = field.mul(v, field.pow(int(x), r))
-                if v == 0:
-                    break
-        total = field.add(total, v)
-    return total
 
 
 def coefficient_vector(poly, basis_index: dict) -> np.ndarray:
@@ -224,9 +210,6 @@ class WeightedPolynomial:
 
     # -- evaluation ------------------------------------------------------------------
 
-    def evaluate(self, coords) -> int:
-        return _evaluate_terms(self.field, self.terms, coords)
-
     def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
         """Values at every row of an (n, m+1) coordinate index array."""
         coeffs = np.array(list(self.terms.values()), dtype=np.int64)
@@ -298,93 +281,3 @@ def parse_polynomial(text: str, ws, field: FiniteField) -> WeightedPolynomial:
                 f"mixed weighted degrees {degree} and {d} in {text!r}")
         terms[e] = field.add(terms.get(e, 0), coeff)
     return WeightedPolynomial(ws, field, degree, terms)
-
-
-# -- affine chart (a_0 = 1) ----------------------------------------------------------
-
-
-class AffinePolynomial:
-    """Polynomial on the chart X0 != 0, in variables Y1..Ym."""
-
-    __slots__ = ("field", "nvars", "terms")
-
-    def __init__(self, field: FiniteField, nvars: int, terms: dict):
-        clean = {}
-        for exps, coeff in terms.items():
-            exps = tuple(int(r) for r in exps)
-            if len(exps) != nvars or any(r < 0 for r in exps):
-                raise ValueError(f"bad exponent tuple {exps}")
-            coeff = int(coeff)
-            if not 0 <= coeff < field.q:
-                raise ValueError(f"coefficient {coeff} outside GF({field.q})")
-            if coeff:
-                clean[exps] = coeff
-        self.field = field
-        self.nvars = nvars
-        self.terms = clean
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def evaluate(self, coords) -> int:
-        return _evaluate_terms(self.field, self.terms, coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, AffinePolynomial)
-                and self.field == other.field and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        parts = []
-        for exps in sorted(self.terms):
-            factors = [str(self.terms[exps])]
-            for j, r in enumerate(exps):
-                if r == 1:
-                    factors.append(f"Y{j + 1}")
-                elif r > 1:
-                    factors.append(f"Y{j + 1}^{r}")
-            parts.append("*".join(factors))
-        return f"AffinePolynomial({' + '.join(parts) or '0'})"
-
-
-def dehomogenize_chart0(poly: WeightedPolynomial) -> AffinePolynomial:
-    """F(1, Y1, ..., Ym); requires a_0 = 1.
-
-    Distinct graded monomials stay distinct (the X0 exponent is determined by
-    the rest), so this is injective on each S_d.
-    """
-    if poly.ws[0] != 1:
-        raise ValueError(f"chart dictionary needs a_0 = 1, got {poly.ws}")
-    terms = {}
-    for exps, coeff in poly.terms.items():
-        key = exps[1:]
-        if key in terms:
-            raise AssertionError("dehomogenization collision")
-        terms[key] = coeff
-    return AffinePolynomial(poly.field, len(poly.ws) - 1, terms)
-
-
-def homogenize_chart0(f: AffinePolynomial, ws) -> WeightedPolynomial:
-    """Pad each term with the fewest X0 factors making it weighted homogeneous."""
-    ws = as_weights(ws)
-    if ws[0] != 1:
-        raise ValueError(f"chart dictionary needs a_0 = 1, got {ws}")
-    if f.nvars != len(ws) - 1:
-        raise ValueError("variable count does not match the weight system")
-    if f.is_zero:
-        return WeightedPolynomial.zero(ws, f.field, 0)
-    degree = max(sum(a * r for a, r in zip(ws.weights[1:], exps))
-                 for exps in f.terms)
-    terms = {}
-    for exps, coeff in f.terms.items():
-        w = sum(a * r for a, r in zip(ws.weights[1:], exps))
-        terms[(degree - w,) + exps] = coeff
-    return WeightedPolynomial(ws, f.field, degree, terms)

@@ -14,6 +14,7 @@ from wprm.finite_field import GF
 from wprm.verify import SUITES, SuiteResult
 from wprm.weighted_space import (DEFAULT_TUPLE_BUDGET, WeightedProjectiveSpace,
                                  projective_count, space)
+from wprm.zero_sets import DEFAULT_CANDIDATE_BUDGET
 
 GOLDEN = Path(__file__).parent / "golden" / "f19_table.csv"
 
@@ -28,6 +29,25 @@ def test_table_matches_golden_file(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["table", "--out", str(out)]) == 0
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+# `wprm code ... --matrix-out` files recorded before RM codes were built on
+# the chart x_0 != 0 of the projective space.
+GOLDEN_MATRICES = {
+    "rm_q8_m2_d2.txt": ["--kind", "rm", "--q", "8", "--m", "2", "--d", "2"],
+    "prm_q3_m3_d2.txt": ["--kind", "prm", "--q", "3", "--m", "3", "--d", "2"],
+    "wprm_q7_w1-2-3_d6.txt": ["--kind", "wprm", "--q", "7", "--weights",
+                              "1,2,3", "--d", "6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MATRICES))
+def test_generator_matrix_matches_golden_file(capsys, tmp_path, name):
+    out = tmp_path / name
+    rc, _, err = run(capsys, "code", *GOLDEN_MATRICES[name], "--matrix-out",
+                     str(out))
+    assert (rc, err) == (0, "")
+    assert out.read_bytes() == (GOLDEN.parent / name).read_bytes()
 
 
 def test_table_deterministic(capsys):
@@ -189,6 +209,45 @@ def test_family_refuses_an_ell_that_does_not_match_t(capsys):
     rc, out, _ = run(capsys, *FAMILY_ARGV, "--ell", "2", "--t", "1,2",
                      "--format", "json")
     assert rc == 0 and json.loads(out)["t"] == [1, 2]
+
+
+COUNT_ZEROS_ARGV = ["count-zeros", "--weights", "1,2,3", "--q", "3",
+                    "--poly", "1*X0^6 + 2*X1^3 + 1*X2^2"]
+
+
+def test_count_zeros_refuses_a_budget_without_sharp(capsys):
+    # The budget bounds only the --sharp search, so without it the budget
+    # would be read by nothing.
+    for extra in ([], ["--bounds"]):
+        rc, out, err = run(capsys, *COUNT_ZEROS_ARGV, *extra, "--budget", "1")
+        assert (rc, out) == (2, "")
+        assert err == ("error: --budget bounds the sharpness search, so it "
+                       "needs --sharp\n")
+
+
+def test_count_zeros_sharp_takes_the_budget_or_the_default(capsys,
+                                                             monkeypatch):
+    budgets = []
+    real = cli.check_bounds
+
+    def spy(*args, oracle_budget=None, **kwargs):
+        budgets.append(oracle_budget)
+        return real(*args, oracle_budget=oracle_budget, **kwargs)
+
+    monkeypatch.setattr(cli, "check_bounds", spy)
+    for extra in ([], ["--budget", "123456"]):
+        rc, _, err = run(capsys, *COUNT_ZEROS_ARGV, "--bounds", "--sharp",
+                         *extra)
+        assert (rc, err) == (0, "")
+    rc, _, _ = run(capsys, *COUNT_ZEROS_ARGV, "--bounds")
+    assert rc == 0
+    assert budgets == [DEFAULT_CANDIDATE_BUDGET, 123456, None]
+
+
+def test_family_refuses_a_negative_ell(capsys):
+    rc, out, err = run(capsys, *FAMILY_ARGV, "--ell", "-2")
+    assert (rc, out) == (2, "")
+    assert err == "error: --ell counts factors, so it is >= 0, got -2\n"
 
 
 def test_count_zeros_refuses_sharp_without_bounds(capsys):

@@ -7,8 +7,8 @@ import pytest
 import wprm.codes as codes
 from wprm.finite_field import GF, field_from_spec
 from wprm.weighted_space import space
-from wprm.weighted_poly import (AffinePolynomial, WeightedPolynomial,
-                                dim_Sd, monomial_basis, parse_polynomial)
+from wprm.weighted_poly import (WeightedPolynomial, dim_Sd, monomial_basis,
+                                parse_polynomial)
 from wprm.zero_sets import count_zeros, max_zeros
 from wprm.codes import (CodeParameters, build_code,
                         code_parameters, comparison_table, encode,
@@ -16,6 +16,7 @@ from wprm.codes import (CodeParameters, build_code,
                         lambda_display, lambda_threshold_checks,
                         min_distance_exhaustive, min_distance_formula,
                         min_distance_witness, truncate3)
+from reference import evaluate
 
 
 def naive_min_distance(inst):
@@ -107,7 +108,7 @@ def test_column_is_representative_independent():
         vals = set()
         for rep in sp.representatives(row):
             denom = fq.pow(rep[i], d // ws[i])
-            vals.add(fq.div(F.evaluate(rep), denom))
+            vals.add(fq.div(evaluate(F, rep), denom))
         assert len(vals) == 1
 
 
@@ -131,14 +132,20 @@ def test_encode_errors():
     fq = GF(3)
     inst = build_code("wprm", fq, 2, 2, (1, 1, 2))
     with pytest.raises(TypeError):
-        encode(inst, AffinePolynomial(fq, 2, {(0, 0): 1}))
+        encode(inst, {(0, 0, 1): 1})
     with pytest.raises(ValueError):
         encode(inst, WeightedPolynomial.monomial((1, 1, 2), fq, (4, 0, 0)))
+    # RM encodes a polynomial of its degree on P(1, 1, 1), the affine
+    # polynomial homogenised in X0: Y1 is X1, 1 is X0.
     rm = build_code("rm", fq, 2, 1)
     with pytest.raises(TypeError):
-        encode(rm, WeightedPolynomial.monomial((1, 1, 1), fq, (1, 0, 0)))
+        encode(rm, {(1, 0): 1})
     with pytest.raises(ValueError):
-        encode(rm, AffinePolynomial(fq, 2, {(2, 0): 1}))
+        encode(rm, WeightedPolynomial.monomial((1, 1, 1), fq, (0, 2, 0)))
+    with pytest.raises(ValueError):
+        encode(rm, WeightedPolynomial.monomial((1, 1, 2), fq, (1, 0, 0)))
+    assert encode(rm, WeightedPolynomial.monomial(
+        (1, 1, 1), fq, (0, 1, 0))).tolist() == rm.points[:, 1].tolist()
 
 
 def test_encode_refuses_a_polynomial_from_another_field():
@@ -149,7 +156,7 @@ def test_encode_refuses_a_polynomial_from_another_field():
         encode(inst, F)
     rm = build_code("rm", GF(7), 2, 2)
     with pytest.raises(ValueError, match="GF\\(5\\)"):
-        encode(rm, AffinePolynomial(GF(5), 2, {(1, 0): 4}))
+        encode(rm, WeightedPolynomial((1, 1, 1), GF(5), 2, {(1, 1, 0): 4}))
 
 
 def test_evaluation_column_refuses_a_row_that_is_no_point():

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from wprm.codes import build_code, encode
 from wprm.finite_field import GF
-from wprm.weighted_poly import (AffinePolynomial, WeightedPolynomial,
-                                monomial_basis, monomial_values)
+from wprm.weighted_poly import (WeightedPolynomial, monomial_basis,
+                                monomial_values)
+from reference import affine_points, evaluate_terms
 
 FIELDS = [GF(2), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
 
@@ -36,8 +37,7 @@ def test_monomial_values_match_scalar_evaluation(fq, data):
     V = monomial_values(fq, coords, exps)
     assert V.shape == (len(exps), n) and V.dtype == np.int64
     for i, e in enumerate(exps):
-        mono = AffinePolynomial(fq, npos, {e: 1})
-        assert [int(v) for v in V[i]] == [mono.evaluate(row)
+        assert [int(v) for v in V[i]] == [evaluate_terms(fq, {e: 1}, row)
                                           for row in coords]
 
 
@@ -74,12 +74,13 @@ def test_encode_matches_pointwise_evaluation(fq, code, data):
     coeffs = data.draw(st.lists(st.integers(0, fq.q - 1),
                                 min_size=len(inst.basis),
                                 max_size=len(inst.basis)))
+    poly = WeightedPolynomial.from_coefficients(inst.ws, fq, d, inst.basis,
+                                                coeffs)
     if kind == "rm":
-        poly = AffinePolynomial(fq, m, dict(zip(inst.basis, coeffs)))
-        want = [poly.evaluate(row) for row in inst.points]
+        # F(1, y) at the affine points y, as RM codes were once built
+        affine = {exps[1:]: c for exps, c in poly.terms.items()}
+        want = [evaluate_terms(fq, affine, y) for y in affine_points(fq, m)]
     else:
-        poly = WeightedPolynomial.from_coefficients(inst.ws, fq, d,
-                                                    inst.basis, coeffs)
         # the codeword as it was built before the generator matrix carried
         # the normalisers: values at the points times the normalisers
         want = fq.mul_arr(poly.evaluate_many(inst.points), inst.normalizers)

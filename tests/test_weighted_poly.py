@@ -6,12 +6,12 @@ import pytest
 
 from wprm.finite_field import GF, field_from_spec
 from wprm.weighted_space import space
-from wprm.weighted_poly import (AffinePolynomial, WeightedPolynomial,
-                                dehomogenize_chart0, dim_Sd,
+from wprm.weighted_poly import (WeightedPolynomial, dim_Sd,
                                 dim_plane_equal_weight_formula,
                                 dim_plane_formula, format_polynomial,
-                                homogenize_chart0, monomial_basis,
-                                parse_polynomial, weighted_degree)
+                                monomial_basis, parse_polynomial,
+                                weighted_degree)
+from reference import evaluate, evaluate_terms
 
 
 def brute_basis(ws, d):
@@ -96,10 +96,10 @@ def test_polynomial_validation():
 def test_evaluate_examples():
     fq = GF(5)
     F = WeightedPolynomial.monomial((3, 4), fq, (1, 1))
-    assert F.evaluate((2, 3)) == 1  # 6 mod 5
+    assert F.evaluate_many([(2, 3)]).tolist() == [1]  # 6 mod 5
     G = WeightedPolynomial((1, 2, 3), GF(7), 3,
                            {(0, 0, 1): 1, (1, 1, 0): 1, (3, 0, 0): 1})
-    assert G.evaluate((0, 0, 0)) == 0
+    assert G.evaluate_many(np.zeros((1, 3), dtype=np.int64)).tolist() == [0]
 
 
 def test_grading_identity():
@@ -112,11 +112,11 @@ def test_grading_identity():
             coeffs = rng.integers(0, q, len(basis))
             F = WeightedPolynomial.from_coefficients(ws, fq, d, basis, coeffs)
             x = tuple(int(v) for v in rng.integers(0, q, len(ws)))
-            for lam in range(1, q):
-                scaled = tuple(fq.mul(fq.pow(lam, a), xi)
-                               for a, xi in zip(ws, x))
-                assert F.evaluate(scaled) == fq.mul(fq.pow(lam, d),
-                                                    F.evaluate(x))
+            scaled = [tuple(fq.mul(fq.pow(lam, a), xi)
+                            for a, xi in zip(ws, x)) for lam in range(1, q)]
+            (value,) = F.evaluate_many([x]).tolist()
+            assert F.evaluate_many(scaled).tolist() == [
+                fq.mul(fq.pow(lam, d), value) for lam in range(1, q)]
 
 
 def test_evaluate_many_matches_scalar():
@@ -127,7 +127,7 @@ def test_evaluate_many_matches_scalar():
                                            for e, c in terms.items()})
         coords = space(ws, fq).point_coords()
         vec = F.evaluate_many(coords)
-        assert [int(v) for v in vec] == [F.evaluate(row) for row in coords]
+        assert [int(v) for v in vec] == [evaluate(F, row) for row in coords]
 
 
 def test_ring_operations():
@@ -161,33 +161,9 @@ def test_format_parse_round_trip():
         parse_polynomial("X5", (1, 2), fq)
 
 
-def test_dehomogenize_examples():
-    fq = GF(5)
-    ws = (1, 2, 3)
-    F = WeightedPolynomial(ws, fq, 3, {(0, 0, 1): 1, (1, 1, 0): 1,
-                                       (3, 0, 0): 1})
-    f = dehomogenize_chart0(F)
-    assert f.terms == {(0, 1): 1, (1, 0): 1, (0, 0): 1}
-    X0d = WeightedPolynomial.monomial(ws, fq, (3, 0, 0))
-    assert dehomogenize_chart0(X0d).terms == {(0, 0): 1}
-    with pytest.raises(ValueError):
-        dehomogenize_chart0(WeightedPolynomial.monomial((2, 3), fq, (3, 0)))
-
-
-def test_homogenize_round_trip():
-    fq = GF(3)
-    ws = (1, 2, 3)
-    for terms in [{(0, 1): 1, (1, 0): 2, (0, 0): 1},
-                  {(2, 1): 1, (0, 0): 2},
-                  {(1, 1): 1}]:
-        f = AffinePolynomial(fq, 2, terms)
-        F = homogenize_chart0(f, ws)
-        assert dehomogenize_chart0(F) == f
-        assert F.degree == max(2 * r1 + 3 * r2 for r1, r2 in terms)
-
-
 def test_affine_degree_bound():
-    # the chart polynomial has total degree at most d / a1 for sorted weights
+    # on the chart x_0 = 1 a polynomial of degree d has total degree at most
+    # d / a1 in X1..Xm, for sorted weights with a_0 = 1
     fq = GF(5)
     ws = (1, 2, 5)
     rng = np.random.default_rng(0)
@@ -198,7 +174,7 @@ def test_affine_degree_bound():
         F = WeightedPolynomial.from_coefficients(ws, fq, d, basis, coeffs)
         if F.is_zero:
             continue
-        assert dehomogenize_chart0(F).total_degree <= d // ws[1]
+        assert max(sum(exps[1:]) for exps in F.terms) <= d // ws[1]
 
 
 def test_affine_zero_correspondence():
@@ -213,12 +189,13 @@ def test_affine_zero_correspondence():
         while not coeffs.any():
             coeffs = rng.integers(0, q, len(basis))
         F = WeightedPolynomial.from_coefficients(ws, fq, 6, basis, coeffs)
-        f = dehomogenize_chart0(F)
+        f = {exps[1:]: c for exps, c in F.terms.items()}  # F(1, y1, y2)
         affine_zeros = sum(
             1 for y in itertools.product(range(q), repeat=2)
-            if f.evaluate(y) == 0)
-        chart_zeros = sum(1 for row in sp.point_coords().tolist()
-                          if row[0] != 0 and F.evaluate(row) == 0)
+            if evaluate_terms(fq, f, y) == 0)
+        coords = sp.point_coords()
+        chart_zeros = int(((F.evaluate_many(coords) == 0)
+                           & (coords[:, 0] != 0)).sum())
         assert affine_zeros == chart_zeros
 
 

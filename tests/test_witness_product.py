@@ -1,6 +1,7 @@
 """The lower-bound witness and the Reed-Muller distance witness built from
 their coefficients (`binary_form_coefficients`), held to the dict products of
-their factors they replaced, kept verbatim here as the reference."""
+their factors they replaced, kept verbatim here as the reference (the RM one
+homogenised in X0, as RM codes now encode polynomials on P(1, ..., 1))."""
 
 import math
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from wprm.codes import build_code, min_distance_witness
 from wprm.finite_field import field_from_spec
-from wprm.weighted_poly import AffinePolynomial, WeightedPolynomial
+from wprm.weighted_poly import WeightedPolynomial
 from wprm.weighted_space import as_weights
 from wprm.zero_sets import (lower_bound_witness, min_pair_lcm,
                             projective_line_points)
@@ -60,8 +61,9 @@ def dict_product_witness(ws, d: int, field, *, pair=None,
     return out
 
 
-def dict_product_rm_witness(field, m: int, d: int) -> AffinePolynomial:
-    """The polynomial of the previous RM branch of `min_distance_witness`."""
+def dict_product_rm_witness(field, m: int, d: int) -> WeightedPolynomial:
+    """The polynomial of the previous RM branch of `min_distance_witness`,
+    prod_{c < d} (Y1 - c), homogenised in X0 as RM codes now encode it."""
     q, f = field.q, field
     if d >= q or d == 0:
         return None
@@ -73,8 +75,9 @@ def dict_product_rm_witness(field, m: int, d: int) -> AffinePolynomial:
             new[i + 1] = f.add(new[i + 1], a)
             new[i] = f.add(new[i], f.mul(a, nc))
         coeffs = new
-    terms = {(j,) + (0,) * (m - 1): c for j, c in enumerate(coeffs) if c}
-    return AffinePolynomial(f, m, terms)
+    terms = {(d - j, j) + (0,) * (m - 1): c
+             for j, c in enumerate(coeffs) if c}
+    return WeightedPolynomial((1,) * (m + 1), f, d, terms)
 
 
 # -- the grids ---------------------------------------------------------------------------
