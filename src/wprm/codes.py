@@ -132,19 +132,20 @@ def build_code(kind: str, field: FiniteField, m: int, d: int,
         points = points[points[:, 0] != 0]
         basis.sort(key=lambda exps: exps[1:])
     # Column j is divided by x_c^(d/a_c), c the first nonzero coordinate
-    # of point j (1 for RM and PRM, whose points lead with a 1).
+    # of point j (1 for RM and PRM, whose points lead with a 1): the
+    # evaluation adds the normaliser's log to every entry of the column.
     chart = (points != 0).argmax(axis=1)
-    powers = monomial_values(field, points, np.diag([d // a for a in ws]))
-    normalizers = field.inv_arr(powers[chart, np.arange(len(points))])
+    powers = d // np.array(ws.weights)[chart]
+    leading = points[np.arange(len(points)), chart]
+    log_norm = -powers * field.log_table[leading] % (q - 1)
     if d > (q - 1 if kind == "rm" else q):
         sign = ">=" if kind == "rm" else ">"
         warnings.warn(f"{kind.upper()} with d = {d} {sign} q = {q}: the "
                       f"evaluation map need not be injective; dimension "
                       f"is the matrix rank")
-    matrix = field.mul_arr(monomial_values(field, points, basis),
-                           normalizers[None, :])
-    return CodeInstance(kind, field, m, d, ws, points, basis, normalizers,
-                        matrix)
+    matrix = monomial_values(field, points, basis, log_norm)
+    return CodeInstance(kind, field, m, d, ws, points, basis,
+                        field.exp_table[log_norm], matrix)
 
 
 def encode(inst: CodeInstance, poly) -> np.ndarray:

@@ -296,8 +296,10 @@ class FiniteField:
             rows *= self.q
             rows += self.mul_arr(np.asarray(coeffs)[:, None], neg)
             return self._sum[rows]
-        keys, pick = np.unique(coeffs, return_inverse=True)
-        return self.add_arr(rows, self.mul_arr(keys[:, None], neg)[pick])
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        keys = np.bincount(coeffs).nonzero()[0]
+        return self.add_arr(rows, self.mul_arr(keys[:, None], neg)[
+            np.searchsorted(keys, coeffs)])
 
     def mul_arr(self, a, b) -> np.ndarray:
         zlog = self._zlog

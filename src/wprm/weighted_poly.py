@@ -79,20 +79,36 @@ def dim_plane_equal_weight_formula(a: int, d: int) -> int:
     return num // (2 * a)
 
 
-def monomial_values(field: FiniteField, coords, exponents) -> np.ndarray:
-    """(k, n) matrix of the values of k exponent tuples at n coordinate rows.
+def monomial_values(field: FiniteField, coords, exponents,
+                    log_offset=None) -> np.ndarray:
+    """(k, n) matrix of the values of k exponent tuples at n coordinate rows,
+    column j times g^log_offset[j] (g the field's generator) when a
+    per-column log offset is given.
 
-    Works in the log domain: one integer product E @ log(x).T mod (q - 1)
-    gives every product of powers of units, and a zero mask sets a value to
-    0 where some x_j = 0 has r_j > 0 (x^0 = 1, also at x = 0).
+    One log-domain pass over a single (k, n) int64 array S.  A positive
+    exponent e is first reduced to (e - 1) % (q - 1) + 1, which leaves x^e
+    unchanged, also at x = 0, and keeps S far from int64 overflow.  A zero
+    coordinate takes the log B = (q - 1)(s + 1), s the largest reduced
+    exponent-row sum, so S = E @ log(x).T reaches B exactly where a zero coordinate has a
+    positive exponent (the unit logs add up to at most (q - 2) s < B; and
+    x^0 = 1, also at x = 0).  The offset is added in place, S is reduced
+    mod q - 1 and gathered through `exp_table` in place, and the zeros are
+    written last.
     """
     coords = np.asarray(coords, dtype=np.int64)
     E = np.array(exponents, dtype=np.int64).reshape(-1, coords.shape[1])
-    zero = coords == 0
-    logs = np.where(zero, 0, field.log_table[coords])
-    out = field.exp_table[(E @ logs.T) % (field.q - 1)]
-    out[(E > 0).astype(np.int64) @ zero.T.astype(np.int64) > 0] = 0
-    return out
+    n1 = field.q - 1
+    E = np.where(E > 0, (E - 1) % n1 + 1, 0)
+    sentinel = n1 * (int(E.sum(axis=1).max(initial=0)) + 1)
+    S = E @ np.where(coords == 0, sentinel, field.log_table[coords]).T
+    zero = S >= sentinel
+    if log_offset is not None:
+        S += log_offset
+    S %= n1
+    # in place: mode "raise" would buffer, and S is in range, so no clip
+    np.take(field.exp_table, S, out=S, mode="clip")
+    S[zero] = 0
+    return S
 
 
 def coefficient_vector(poly, basis_index: dict) -> np.ndarray:

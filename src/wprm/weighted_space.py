@@ -362,14 +362,12 @@ class WeightedProjectiveSpace:
     def orbit_size(self, raw) -> int:
         """Number of distinct rational representative tuples (q - 1).
 
-        Row k of the orbit is raw scaled by g^k, and the scalings fixing raw
-        form a subgroup of the cyclic unit group, so the rows repeat with
-        period the first k > 0 whose row equals row 0 (q - 1 if none does),
-        and that period is the number of distinct rows.
+        `_scaling_logs` divides the support weights by their gcd with the
+        p-part removed, which leaves the scaling logs a gcd coprime to q - 1,
+        so only the identity scaling fixes raw.
         """
-        reps = self._orbit(raw)
-        back = (reps[1:] == reps[0]).all(axis=1).nonzero()[0]
-        return int(back[0]) + 1 if len(back) else len(reps)
+        self._checked([tuple(raw)])
+        return self.q - 1
 
     def canonicalize(self, raw) -> WeightedPoint:
         """Lexicographically least representative, under the index order."""
@@ -384,7 +382,7 @@ class WeightedProjectiveSpace:
         rows = self._checked(coords)
         n1 = self.q - 1
         bits = (rows != 0) @ (1 << np.arange(len(self.ws)))
-        for code in np.unique(bits).tolist():
+        for code in np.bincount(bits).nonzero()[0].tolist():
             at = bits == code
             support = tuple(i for i in range(len(self.ws)) if code >> i & 1)
             logs = self.field.log_table[rows[at][:, support]]

@@ -213,11 +213,18 @@ def _lead_shape(q: int, k: int, L: int, lead: int) -> tuple[int, int]:
     return q ** min(L, width), max(0, width - L)
 
 
-def _torus_rank(q: int, exponents, hw: int) -> int | None:
-    # Generator rows of the torus acting on the high digits; None where the
-    # sweep visits every tail.
-    return None if exponents is None or q == 2 or hw == 0 \
-        else len(exponents[0])
+def _torus_rank(q: int, exponents) -> int | None:
+    """Rank of the torus acting on the coefficients: the rank of the
+    exponent-row differences, which bounds that of the characters
+    beta_j - alpha_lead on any support (m for monomials of one weighted
+    degree, whose differences are orthogonal to the weights).  None where
+    the sweep visits every tail: no exponents, or GF(2)."""
+    if exponents is None or q == 2:
+        return None
+    if len(exponents) < 2:
+        return 0
+    # small integer entries, so the floating-point rank is exact
+    return int(np.linalg.matrix_rank(np.diff(np.asarray(exponents), axis=0)))
 
 
 def _visited_floor(k: int, L: int, q: int, exponents) -> int:
@@ -227,10 +234,10 @@ def _visited_floor(k: int, L: int, q: int, exponents) -> int:
     of s high digits holds at least max(1, (q-1)^(s-r)) canonical high parts.
     A sweep over this floor is refused before any chain is built.
     """
+    r = _torus_rank(q, exponents)
     out = 0
     for lead in range(k):
         cols, hw = _lead_shape(q, k, L, lead)
-        r = _torus_rank(q, exponents, hw)
         out += cols * (q ** hw if r is None else sum(
             math.comb(hw, s) * (q - 1) ** max(0, s - r)
             for s in range(hw + 1)))
@@ -247,10 +254,11 @@ def _sweep_plan(k: int, L: int, field: FiniteField, exponents) -> _SweepPlan:
     entries, one column per high digit in order.
     """
     q, n1 = field.q, field.q - 1
+    r = _torus_rank(q, exponents)
     leads = []
     for lead in range(k):
         cols, hw = _lead_shape(q, k, L, lead)
-        if _torus_rank(q, exponents, hw) is None:
+        if r is None or hw == 0:
             leads.append(_LeadPlan(cols, hw, None, cols * q ** hw))
             continue
         alpha = exponents[lead]

@@ -3,7 +3,9 @@
 `affine_points` and `affine_monomials` are the point set and the monomial
 order that Reed-Muller codes were built from before RM became the chart
 x_0 != 0 of the projective code; `evaluate` is the scalar evaluator that
-`monomial_values` and `WeightedPolynomial.evaluate_many` replaced.
+`monomial_values` and `WeightedPolynomial.evaluate_many` replaced, and
+`monomial_values` the array kernel with a separate zero mask that the
+one-pass log-domain kernel replaced.
 """
 
 import numpy as np
@@ -49,3 +51,19 @@ def evaluate_terms(field, terms: dict, coords) -> int:
 def evaluate(poly, coords) -> int:
     """A polynomial's value at one coordinate tuple, term by term."""
     return evaluate_terms(poly.field, poly.terms, coords)
+
+
+def monomial_values(field, coords, exponents) -> np.ndarray:
+    """(k, n) matrix of the values of k exponent tuples at n coordinate rows.
+
+    Works in the log domain: one integer product E @ log(x).T mod (q - 1)
+    gives every product of powers of units, and a zero mask sets a value to
+    0 where some x_j = 0 has r_j > 0 (x^0 = 1, also at x = 0).
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    E = np.array(exponents, dtype=np.int64).reshape(-1, coords.shape[1])
+    zero = coords == 0
+    logs = np.where(zero, 0, field.log_table[coords])
+    out = field.exp_table[(E @ logs.T) % (field.q - 1)]
+    out[(E > 0).astype(np.int64) @ zero.T.astype(np.int64) > 0] = 0
+    return out

@@ -3,7 +3,10 @@ import functools
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -31,13 +34,17 @@ def test_table_matches_golden_file(tmp_path):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
-# `wprm code ... --matrix-out` files recorded before RM codes were built on
-# the chart x_0 != 0 of the projective space.
+# `wprm code ... --matrix-out` files: the first three recorded before RM
+# codes were built on the chart x_0 != 0 of the projective space, the last
+# (an extension field with normalisers other than 1) before the normalisers
+# were folded into the evaluation of the monomials.
 GOLDEN_MATRICES = {
     "rm_q8_m2_d2.txt": ["--kind", "rm", "--q", "8", "--m", "2", "--d", "2"],
     "prm_q3_m3_d2.txt": ["--kind", "prm", "--q", "3", "--m", "3", "--d", "2"],
     "wprm_q7_w1-2-3_d6.txt": ["--kind", "wprm", "--q", "7", "--weights",
                               "1,2,3", "--d", "6"],
+    "wprm_q9_w1-2-2_d4.txt": ["--kind", "wprm", "--q", "9", "--weights",
+                              "1,2,2", "--d", "4"],
 }
 
 
@@ -445,3 +452,27 @@ def test_every_argv_of_the_tests_and_the_benchmark_parses(monkeypatch):
     assert len(ours) > 20 and len(bench) > 10
     for argv in ours + bench:
         cli._parser().parse_args(argv)
+
+
+def test_no_call_imports_numpy_ma():
+    # np.unique imports numpy.ma on its first call in a process (8-17 ms and
+    # about 0.7 MiB); the library groups with np.bincount instead.
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from wprm.cli import main
+        from wprm.codes import build_code
+        from wprm.finite_field import GF
+        from wprm.weighted_space import canonicalize, orbit_size
+        f = GF(2, 16)
+        print(canonicalize((1, 2, 3), f, (5, 0, 7)).coords,
+              orbit_size((1, 2, 3), f, (5, 0, 7)))
+        print(build_code("prm", GF(2, 9), 1, 3).rank)  # adds without a table
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["verify", "--suite", "delorme"])
+        print(rc, "numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["(1, 0, 56982) 65535", "4",
+                                        "0 False"]

@@ -344,6 +344,46 @@ def test_budget_bounds_the_visited_tails():
         zs.max_zeros((1, 1, 1), GF(3), 9, budget=1000)
 
 
+@st.composite
+def floor_cases(draw):
+    # monomial bases and exponent rows of mixed degrees alike
+    fq = draw(st.sampled_from(SWEEP_FIELDS))
+    if draw(st.booleans()):
+        exps = monomial_basis(draw(st.sampled_from(WEIGHTS)),
+                              draw(st.integers(1, 8)))
+        assume(0 < len(exps) <= 7)
+    else:
+        npos = draw(st.integers(1, 4))
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * npos),
+                             min_size=1, max_size=7))
+    L = draw(st.integers(0, len(exps) - 1))
+    return fq, tuple(exps), L
+
+
+@settings(max_examples=200, deadline=None)
+@given(floor_cases())
+def test_visited_floor_is_below_the_plan(case):
+    fq, exps, L = case
+    k = len(exps)
+    floor = zs._visited_floor(k, L, fq.q, exps)
+    assert floor <= zs._sweep_plan(k, L, fq, exps).visited
+    # the torus rank is the rank of the exponent-row differences
+    E = np.array(exps, dtype=np.int64)
+    rank = np.linalg.matrix_rank(E[1:] - E[0]) if k > 1 else 0
+    assert zs._torus_rank(fq.q, exps) == (None if fq.q == 2 else rank)
+
+
+def test_rm_sweep_is_refused_at_the_floor_before_any_plan(capsys):
+    # the torus rank of the degree-3 monomials of P^2 is 2, not 3, so the
+    # floor alone refuses this sweep
+    info = zs._sweep_plan.cache_info()
+    rc = cli.main(["code", "--kind", "rm", "--q", "7", "--m", "2", "--d", "3",
+                   "--method", "exhaustive", "--budget", "1000000"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "at least 1352163 visited tails" in err
+    assert zs._sweep_plan.cache_info()[:2] == info[:2]  # no hit, no miss
+
+
 def test_sweep_without_exponents_visits_every_tail():
     # Without exponents there is no torus to use: every lead scans all of
     # its q^hw high parts, so the sweep visits every tail.
