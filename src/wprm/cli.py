@@ -308,14 +308,12 @@ def table_csv(entries) -> str:
 def cmd_table(args) -> int:
     custom = args.q is not None or args.d is not None or args.weights
     if args.f19 and custom:
-        print("--f19 is the fixed reference table; it takes no "
-              "--q/--d/--weights overrides", file=sys.stderr)
-        return 2
+        raise ValueError("--f19 is the fixed reference table; it takes no "
+                         "--q/--d/--weights overrides")
     q, d = (args.q, args.d) if custom else ("19", 16)
     if q is None or d is None:
-        print("table needs both --q and --d (or no arguments for the "
-              "reference table)", file=sys.stderr)
-        return 2
+        raise ValueError("table needs both --q and --d (or no arguments for "
+                         "the reference table)")
     fq = field_from_spec(q)
     systems = args.weights or codes_mod.F19_WEIGHT_SYSTEMS
     entries = codes_mod.comparison_table(fq, args.m, d, systems,
@@ -365,9 +363,8 @@ def cmd_verify(args) -> int:
     rc = 0
     for name in names:
         if name not in SUITES:
-            print(f"unknown suite {name!r}; available: {', '.join(SUITES)}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown suite {name!r}; available: "
+                             f"{', '.join(SUITES)}")
         # inspect.signature follows __wrapped__: a traced suite takes the same.
         suite = SUITES[name]
         takes = inspect.signature(suite).parameters
@@ -464,9 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--weights", type=_parse_weights,
                    help="weight system (wprm only)")
-    p.add_argument("--method",
-                   choices=("auto", "formula", "exhaustive", "both"),
-                   default="auto")
+    p.add_argument("--method", choices=codes_mod.METHODS, default="auto")
     p.add_argument("--matrix-out", help="write the generator matrix here")
     p.set_defaults(fn=cmd_code)
 
@@ -478,9 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--weights", action="append", type=_parse_weights,
                    help="weight system, repeatable")
-    p.add_argument("--method",
-                   choices=("auto", "formula", "exhaustive", "both"),
-                   default="auto")
+    p.add_argument("--method", choices=codes_mod.METHODS, default="auto")
     p.add_argument("--format", choices=("csv", "text", "json"), default="csv")
     p.add_argument("--out")
     for name in ("budget", "jobs"):

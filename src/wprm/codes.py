@@ -12,12 +12,16 @@ its homogenisation in X_0.
 
 The minimum distance is only ever reported as exact when a formula with
 verified hypotheses or an exhaustive enumeration produced it; otherwise an
-explicit witness codeword certifies an upper bound.  The exhaustive
-enumeration is the max-zeros sweep: d_min = n - (most zeros of a nonzero
-codeword).  It sweeps the independent rows of the generator matrix with their
-monomials' exponents, so it visits one codeword per torus orbit; its budget
-bounds the visited tails.  One forward elimination per instance, which stops
-at full row rank, picks those rows, and the dimension k is their count.
+explicit witness codeword certifies an upper bound.  `code_parameters` is the
+one route to a d_min: it checks the formula against the witness, returns the
+formula where the method allows it, and otherwise makes its single exhaustive
+call, whose over-budget refusal falls back to the witness under "auto" only.
+The exhaustive enumeration is the max-zeros sweep: d_min = n - (most zeros of
+a nonzero codeword).  It sweeps the independent rows of the generator matrix
+with their monomials' exponents, so it visits one codeword per torus orbit;
+its budget bounds the visited tails.  One forward elimination per instance,
+which stops at full row rank, picks those rows, and the dimension k is their
+count.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .zero_sets import (DEFAULT_CANDIDATE_BUDGET, _max_zeros_sweep,
                         lower_bound_witness, min_pair_lcm)
 
 KINDS = ("rm", "prm", "wprm")
+METHODS = ("auto", "formula", "exhaustive", "both")
 
 F19_WEIGHT_SYSTEMS = ((1, 2, 2), (1, 2, 4), (1, 2, 8), (1, 4, 4), (1, 16, 16))
 
@@ -204,6 +209,8 @@ def min_distance_formula(inst: CodeInstance) -> tuple[int | None, str]:
         if d < q:
             return (q - d) * q ** (m - 1), ""
         return None, f"needs d < q (d={d}, q={q})"
+    if d < 1:
+        return None, "needs d >= 1 (degree 0 gives the repetition code)"
     if inst.kind == "prm":
         if d <= q:
             return (q - d + 1) * q ** (m - 1), ""
@@ -272,11 +279,14 @@ def code_parameters(inst: CodeInstance, method: str = "auto", *,
                     jobs=None) -> CodeParameters:
     """n, k from the built matrix; d_min by formula, exhaustive sweep, or witness.
 
-    method "auto" prefers the formula (hypotheses verified), then exhaustive
-    within budget, then a witness upper bound; "both" runs formula and
-    exhaustive and insists they agree.
+    The formula (hypotheses verified) and the witness are computed first and
+    must agree.  "formula" and "both" are refused when no formula applies;
+    "formula", and "auto" when one applies, return it.  Every other answer
+    comes from the one exhaustive sweep within budget: "both" insists that it
+    equals the formula, and only "auto" falls back to the witness upper
+    bound when the sweep is over budget.
     """
-    if method not in ("auto", "formula", "exhaustive", "both"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     n, k = inst.n, inst.rank
     formula, reason = min_distance_formula(inst)
@@ -285,31 +295,21 @@ def code_parameters(inst: CodeInstance, method: str = "auto", *,
     if formula is not None and wit_weight is not None and wit_weight != formula:
         raise AssertionError(
             f"witness weight {wit_weight} contradicts formula {formula}")
-    if method == "formula":
-        if formula is None:
-            raise ValueError(f"distance formula inapplicable: {reason}")
-        return CodeParameters(n, k, formula, "formula", wit_weight)
-    if method == "exhaustive":
-        d_min = min_distance_exhaustive(inst, budget=budget, jobs=jobs)
-        return CodeParameters(n, k, d_min, "exhaustive", wit_weight)
-    if method == "both":
-        if formula is None:
-            raise ValueError(f"distance formula inapplicable: {reason}")
-        d_min = min_distance_exhaustive(inst, budget=budget, jobs=jobs)
-        if d_min != formula:
-            raise AssertionError(
-                f"formula {formula} disagrees with exhaustive {d_min}")
-        return CodeParameters(n, k, d_min, "exhaustive", wit_weight)
-    if formula is not None:
+    if formula is None and method in ("formula", "both"):
+        raise ValueError(f"distance formula inapplicable: {reason}")
+    if formula is not None and method in ("formula", "auto"):
         return CodeParameters(n, k, formula, "formula", wit_weight)
     try:
         d_min = min_distance_exhaustive(inst, budget=budget, jobs=jobs)
-        return CodeParameters(n, k, d_min, "exhaustive", wit_weight)
     except BudgetExceeded:
-        if wit_weight is not None:
-            return CodeParameters(n, k, wit_weight, "witness-upper-bound",
-                                  wit_weight)
-        raise
+        if method != "auto" or wit_weight is None:
+            raise
+        return CodeParameters(n, k, wit_weight, "witness-upper-bound",
+                              wit_weight)
+    if method == "both" and d_min != formula:
+        raise AssertionError(
+            f"formula {formula} disagrees with exhaustive {d_min}")
+    return CodeParameters(n, k, d_min, "exhaustive", wit_weight)
 
 
 # -- comparison tables ------------------------------------------------------------------
@@ -344,22 +344,15 @@ def comparison_table(field: FiniteField, m: int, d: int,
                      jobs=None) -> list[TableEntry]:
     """RM and PRM baselines plus one WPRM row per weight system."""
     q = field.q
+    rows = [("rm", None), ("prm", None)]
+    rows += [("wprm", as_weights(wsys).weights) for wsys in weight_systems]
     out = []
-    inst = build_code("rm", field, m, d)
-    out.append(TableEntry(f"RM_{q}({d},{m})", "rm", None, q, m, d,
-                          code_parameters(inst, method, budget=budget,
-                                          jobs=jobs)))
-    inst = build_code("prm", field, m, d)
-    out.append(TableEntry(f"PRM_{q}({d},{m})", "prm", None, q, m, d,
-                          code_parameters(inst, method, budget=budget,
-                                          jobs=jobs)))
-    for wsys in weight_systems:
-        ws = as_weights(wsys)
-        inst = build_code("wprm", field, m, d, ws)
-        label = f"WPRM_{q}({d},{m};{','.join(map(str, ws.weights))})"
-        out.append(TableEntry(label, "wprm", ws.weights, q, m, d,
-                              code_parameters(inst, method, budget=budget,
-                                              jobs=jobs)))
+    for kind, weights in rows:
+        inst = build_code(kind, field, m, d, weights)
+        params = code_parameters(inst, method, budget=budget, jobs=jobs)
+        tag = f";{','.join(map(str, weights))}" if weights else ""
+        out.append(TableEntry(f"{kind.upper()}_{q}({d},{m}{tag})", kind,
+                              weights, q, m, d, params))
     return out
 
 

@@ -121,22 +121,12 @@ class LineSystem:
         return self.line_points(l1) & self.line_points(l2)
 
     def normalize_line(self, line: PlaneLine) -> GradedSubstitution:
-        """Substitution carrying the line to the coordinate line X_kind = 0.
+        """Substitution carrying the line to the coordinate line X_kind = 0:
+        X_kind -> X_kind - (the line's equation minus X_kind).
 
         It preserves the grading and zero-set sizes; the identity for type 0.
         """
-        ws, field = self.ws, self.field
-        a1, a2 = ws[1], ws[2]
-        if line.kind == 0:
-            return GradedSubstitution(0, WeightedPolynomial.zero(ws, field, 1))
-        if line.kind == 1:
-            terms = {}
-            if line.alpha:
-                terms[(a1, 0, 0)] = field.neg(line.alpha)
-            return GradedSubstitution(1, WeightedPolynomial(ws, field, a1, terms))
-        terms = {}
-        if line.alpha:
-            terms[(a2, 0, 0)] = field.neg(line.alpha)
-        if line.beta:
-            terms[(a2 - a1, 1, 0)] = field.neg(line.beta)
-        return GradedSubstitution(2, WeightedPolynomial(ws, field, a2, terms))
+        ws, field, v = self.ws, self.field, line.kind
+        x_v = WeightedPolynomial.monomial(ws, field,
+                                          tuple(int(j == v) for j in range(3)))
+        return GradedSubstitution(v, -(line.polynomial(ws, field) - x_v))

@@ -641,8 +641,9 @@ def suite_delorme(qs=(2, 3), max_weight: int = 4, max_b: int = 3,
 @_quiet_wprm_past_q()
 def suite_small_code_distance(qs=(2, 3), max_a2: int = 3,
                               budget: int = 10 ** 7) -> SuiteResult:
-    """Exhaustive minimum distance equals the plane formula on every
-    admissible (1, a1, a2) instance (lcm | d and d/a1 <= q)."""
+    """Exhaustive minimum distance equals the plane formula, and the witness
+    agrees with both, on every admissible (1, a1, a2) instance (lcm | d and
+    d/a1 <= q): `code_parameters` with method "both"."""
     res = SuiteResult("small-code-distance")
     t0 = time.perf_counter()
     for q in qs:
@@ -653,20 +654,13 @@ def suite_small_code_distance(qs=(2, 3), max_a2: int = 3,
                     continue
                 step = math.lcm(a1, a2)
                 for d in range(step, a1 * q + 1, step):
-                    if d // a1 > q:
-                        continue
                     inst = codes_mod.build_code("wprm", fq, 2, d, (1, a1, a2))
-                    formula, reason = codes_mod.min_distance_formula(inst)
-                    if formula is None:
-                        res.record(False,
-                                   f"formula unexpectedly inapplicable for "
-                                   f"(1,{a1},{a2}) q={q} d={d}: {reason}")
-                        continue
-                    exact = codes_mod.min_distance_exhaustive(inst,
-                                                              budget=budget)
-                    res.record(exact == formula,
-                               f"WPRM_{q}({d},2;(1,{a1},{a2})): exhaustive "
-                               f"{exact} != formula {formula}")
+                    try:
+                        codes_mod.code_parameters(inst, "both", budget=budget)
+                        failure = ""
+                    except (ValueError, AssertionError) as exc:
+                        failure = f"WPRM_{q}({d},2;(1,{a1},{a2})): {exc}"
+                    res.record(not failure, failure)
     res.elapsed = time.perf_counter() - t0
     return res
 

@@ -444,11 +444,14 @@ def min_pair_lcm(ws) -> tuple[int, tuple[int, int]]:
 
 
 def max_zeros_lower_bound(ws, d: int, q: int) -> int | None:
-    """min(p_m, (d/a) q^{m-1} + p_{m-2}) with a the least pairwise lcm; None if a ∤ d."""
+    """min(p_m, (d/a) q^{m-1} + p_{m-2}), a the least pairwise lcm; 0 at d = 0;
+    None if a ∤ d."""
     ws = as_weights(ws)
     a, _ = min_pair_lcm(ws)
     if d % a:
         return None
+    if d == 0:
+        return 0
     m = ws.m
     return min(projective_count(q, m),
                (d // a) * q ** (m - 1) + projective_count(q, m - 2))
@@ -464,11 +467,12 @@ def lower_bound_witness(ws, d: int, field: FiniteField, *,
                         line_points=None) -> WeightedPolynomial:
     """Product of binary forms attaining the lower bound count.
 
-    With t = d/a <= q+1 the construction uses t distinct projective-line
+    With 1 <= t = d/a <= q+1 the construction uses t distinct projective-line
     points and has exactly (d/a) q^{m-1} + p_{m-2} zeros; for larger t it
-    repeats a factor and is space-filling.  The point (alpha, beta) gives
-    the factor alpha X_r^(a/a_r) - beta X_s^(a/a_s), and the product comes
-    from its t + 1 coefficients (`binary_form_coefficients`).
+    repeats a factor and is space-filling.  The count needs t >= 1: at t = 0
+    the product is the constant 1, which has no zeros.  The point
+    (alpha, beta) gives the factor alpha X_r^(a/a_r) - beta X_s^(a/a_s), and
+    the product comes from its t + 1 coefficients (`binary_form_coefficients`).
     """
     ws = as_weights(ws)
     a, best_pair = min_pair_lcm(ws)
@@ -767,7 +771,7 @@ def check_bounds(poly: WeightedPolynomial, sp: WeightedProjectiveSpace, *,
                                    None if best is None else best == bound))
 
     count = count_zeros(poly, sp)
-    if all(a == 1 for a in ws):
+    if m >= 1 and all(a == 1 for a in ws):
         _report("serre", count,
                 d * q ** (m - 1) + projective_count(q, m - 2))
     if m == 2 and ws[0] == 1 and ws[1] <= ws[2]:

@@ -57,6 +57,22 @@ def test_generator_matrix_matches_golden_file(capsys, tmp_path, name):
     assert out.read_bytes() == (GOLDEN.parent / name).read_bytes()
 
 
+# `wprm table --q 5 --d 2 --m 3 --weights 1,1,1,2 --weights 1,1,2,2 --format
+# json`, recorded before `code_parameters` had one exhaustive call: its rows
+# cover the formula and the sweep, and with a budget of 100 the witness.
+TABLE_ARGV = ["table", "--q", "5", "--d", "2", "--m", "3", "--weights",
+              "1,1,1,2", "--weights", "1,1,2,2", "--format", "json"]
+GOLDEN_TABLES = {"table_q5_d2_m3.json": [],
+                 "table_q5_d2_m3_budget100.json": ["--budget", "100"]}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+def test_table_json_matches_golden_file(capsys, name):
+    rc, out, err = run(capsys, *TABLE_ARGV, *GOLDEN_TABLES[name])
+    assert (rc, err) == (0, "")
+    assert out.encode() == (GOLDEN.parent / name).read_bytes()
+
+
 def test_table_deterministic(capsys):
     rc1, out1, _ = run(capsys, "table")
     rc2, out2, _ = run(capsys, "table", "--f19")
@@ -198,6 +214,26 @@ def test_code_command(capsys, tmp_path):
     assert header == "19 2 16 1,2,2 381 45"
 
 
+def test_degree_zero_table(capsys):
+    rc, out, err = run(capsys, "table", "--q", "5", "--d", "0")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1:3] == ["RM,,5,0,25,1,25,1.040,26/25",
+                          "PRM,,5,0,31,1,31,1.032,32/31"]
+    assert all(line.endswith(",5,0,31,1,31,1.032,32/31")
+               for line in lines[3:]) and len(lines) == 8
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["table", "--f19", "--d", "4"], "--f19 is the fixed reference table"),
+    (["table", "--q", "5"], "table needs both --q and --d"),
+])
+def test_table_refusals_are_errors(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("kind,message", [
     ("prm", "projective Reed-Muller codes take no weights"),
     ("rm", "plain Reed-Muller codes take no weights"),
@@ -272,9 +308,9 @@ def test_verify_command(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    rc, _, err = run(capsys, "verify", "--suite", "nope")
-    assert rc == 2
-    assert "unknown suite" in err
+    rc, out, err = run(capsys, "verify", "--suite", "nope")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: unknown suite 'nope'; available: points,")
 
 
 @pytest.mark.parametrize("argv,given,rc", [
@@ -299,7 +335,7 @@ def test_verify_passes_each_suite_only_its_options(capsys, monkeypatch,
     assert got_rc == rc
     if given is None:
         assert list(calls) == ["torus"]
-        assert "unknown suite" in err
+        assert err.startswith("error: unknown suite 'nope'")
         return
     assert list(calls) == list(SUITES)
     for name, kwargs in calls.items():

@@ -6,7 +6,7 @@ import pytest
 
 import wprm.codes as codes
 from wprm.finite_field import GF, field_from_spec
-from wprm.weighted_space import space
+from wprm.weighted_space import BudgetExceeded, space
 from wprm.weighted_poly import (WeightedPolynomial, dim_Sd, monomial_basis,
                                 parse_polynomial)
 from wprm.zero_sets import count_zeros, max_zeros
@@ -209,6 +209,16 @@ def test_repetition_code():
     inst = build_code("rm", GF(3), 2, 0)
     assert inst.matrix.shape == (1, 9)
     assert min_distance_exhaustive(inst) == 9
+    # (q - d + 1) q^(m-1) would read q^2 + q at d = 0 for PRM and the
+    # weighted plane; the constants have d_min = n, which "auto" sweeps.
+    for kind, weights in [("prm", None), ("wprm", (1, 2, 2))]:
+        inst = build_code(kind, GF(5), 2, 0, weights)
+        val, reason = min_distance_formula(inst)
+        assert val is None and "d >= 1" in reason
+        params = code_parameters(inst)
+        assert params.triple() == (31, 1, 31)
+        assert (params.d_min_source, params.witness_weight) == ("exhaustive",
+                                                                31)
 
 
 def test_formula_reasons():
@@ -301,6 +311,57 @@ def test_auto_falls_back_only_on_budget(monkeypatch):
     inst = build_code("wprm", GF(3), 3, 2, (1, 1, 1, 2))
     with pytest.raises(ValueError, match="sweep failed"):
         code_parameters(inst, "auto")
+
+
+# WPRM_5(4,2;1,2,2) has a plane formula, WPRM_3(2,3;1,1,1,2) has none; a
+# budget of 100 is below both sweeps (3906 and 1093 visited tails).
+ROUTE_CODES = {"plane": ("wprm", 5, 2, 4, (1, 2, 2)),
+               "solid": ("wprm", 3, 3, 2, (1, 1, 1, 2))}
+FITS = 10 ** 6
+
+
+@pytest.mark.parametrize("code,method,budget,want", [
+    ("plane", "auto", FITS, (20, "formula")),
+    ("plane", "auto", 100, (20, "formula")),
+    ("plane", "formula", FITS, (20, "formula")),
+    ("plane", "formula", 100, (20, "formula")),
+    ("plane", "exhaustive", FITS, (20, "exhaustive")),
+    ("plane", "exhaustive", 100, BudgetExceeded),
+    ("plane", "both", FITS, (20, "exhaustive")),
+    ("plane", "both", 100, BudgetExceeded),
+    ("solid", "auto", FITS, (18, "exhaustive")),
+    ("solid", "auto", 100, (18, "witness-upper-bound")),
+    ("solid", "formula", FITS, ValueError),
+    ("solid", "formula", 100, ValueError),
+    ("solid", "exhaustive", FITS, (18, "exhaustive")),
+    ("solid", "exhaustive", 100, BudgetExceeded),
+    ("solid", "both", FITS, ValueError),
+    ("solid", "both", 100, ValueError),
+])
+def test_each_method_takes_one_route(monkeypatch, code, method, budget,
+                                     want):
+    calls = []
+    sweep = codes.min_distance_exhaustive
+
+    def counting(inst, **kwargs):
+        calls.append(kwargs["budget"])
+        return sweep(inst, **kwargs)
+
+    monkeypatch.setattr(codes, "min_distance_exhaustive", counting)
+    kind, q, m, d, weights = ROUTE_CODES[code]
+    inst = build_code(kind, GF(q), m, d, weights)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            code_parameters(inst, method, budget=budget)
+    else:
+        params = code_parameters(inst, method, budget=budget)
+        assert (params.d_min, params.d_min_source) == want
+    assert calls in ([], [budget])
+
+
+def test_code_parameters_refuses_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method"):
+        code_parameters(build_code("prm", GF(3), 2, 1), "fastest")
 
 
 def test_code_parameters_row_reduces_once(monkeypatch):

@@ -482,7 +482,8 @@ def test_lower_bound_values():
 
 def test_witness_attains_bound():
     for ws, q, mult in [((2, 3, 5), 5, 5), ((1, 1, 2), 3, 2), ((2, 3), 5, 4),
-                        ((1, 1, 1), 2, 3), ((2, 3, 5), 4, 5)]:
+                        ((1, 1, 1), 2, 3), ((2, 3, 5), 4, 5),
+                        ((1, 1, 1, 1), 3, 0)]:
         fq = field_from_spec(str(q))
         a, _ = min_pair_lcm(ws)
         d = a * mult
@@ -500,7 +501,9 @@ def test_space_filling_weighted_example():
 
 
 def test_lower_bound_consistent_with_search():
-    for ws, q, d in [((1, 1, 2), 2, 2), ((1, 2, 3), 3, 6), ((1, 1), 3, 2)]:
+    for ws, q, d in [((1, 1, 2), 2, 2), ((1, 2, 3), 3, 6), ((1, 1), 3, 2),
+                     ((1, 1, 1), 3, 0), ((1, 1, 1, 1), 3, 0),
+                     ((1, 2, 3), 4, 0)]:
         fq = field_from_spec(str(q))
         lb = max_zeros_lower_bound(ws, d, q)
         assert max_zeros(ws, fq, d).value >= lb
@@ -555,6 +558,9 @@ def test_bounds_only_under_hypotheses():
     F = WeightedPolynomial.monomial(ws, fq, (1, 1, 0))  # degree 3, 6 ∤ 3
     names = {r.name for r in check_bounds(F, space(ws, fq))}
     assert "weighted_plane" not in names and "serre" not in names
+    # on P(1) (m = 0) Serre's d q^(m-1) + p_(m-2) is no bound
+    F = parse_polynomial("X0^2", (1,), fq)
+    assert check_bounds(F, space((1,), fq)) == []
 
 
 def test_ore_affine_report():
