@@ -205,6 +205,8 @@ class CodeParameters:
 def min_distance_formula(inst: CodeInstance) -> tuple[int | None, str]:
     """Formula value with hypotheses verified, or (None, reason)."""
     q, m, d = inst.q, inst.m, inst.d
+    if m < 1:
+        return None, "needs m >= 1 (m = 0 gives a single point)"
     if inst.kind == "rm":
         if d < q:
             return (q - d) * q ** (m - 1), ""
@@ -234,8 +236,11 @@ def min_distance_formula(inst: CodeInstance) -> tuple[int | None, str]:
 
 
 def min_distance_witness(inst: CodeInstance):
-    """(codeword, weight, polynomial) certifying d_min <= weight, or None."""
+    """(codeword, weight, polynomial) certifying d_min <= weight, or None;
+    None with a single coordinate, which leaves no pair of binary forms."""
     q, d, f = inst.q, inst.d, inst.field
+    if len(inst.ws) < 2:
+        return None
     if inst.kind == "rm":
         if d >= q or d == 0:
             return None

@@ -31,8 +31,26 @@ member, and the first maximiser in (lead, tail) order is lex-least in its
 orbit, so it is visited: values, witnesses and tie-breaks are those of the
 plain sweep.  Over GF(2), for a leading position with no high digit, and
 for sweeps without exponents (the tests' plain reference), the same scan
-runs over all q^hw high parts, so every tail is visited.  The budget bounds
-the visited tails, counted from the chain widths before the sweep starts.
+runs over all q^hw high parts, so every tail is visited.
+
+A graded translation X_i -> X_i + b M, M a monomial of weight a_i in
+X_0..X_(i-1), keeps zero counts too.  On a vector led by the row alpha it
+adds alpha_i b c_alpha to the coefficient of pi = alpha - e_i + M, and
+where every other term beta + j (pi - alpha) that it makes from a row beta
+at or after the lead is a row after pi, it moves nothing else before pi
+(`_is_killed`).  The check reads only the exponents, so it also holds for
+RM's row order and for the independent rows of a code.  If p does not
+divide alpha_i, one b zeroes the coefficient of pi: pi is a killed digit of
+the lead, and the sweep skips every high support that holds one.  The low
+digits are not reduced.  No second scan is needed for the witness.  Were a
+killed digit pi of the first visited tail to reach some count nonzero, its
+translation would keep the digits before pi and set pi to 0, and the torus
+would then lower the high part further: a visited tail with the same count,
+before the first.  So the first tail to reach any count holds no killed
+digit and stays visited, and values, witnesses and tie-breaks are those of
+the plain sweep at every stop_at.  The budget bounds the visited tails,
+counted from the chain widths before the sweep starts; the floor that
+refuses a sweep before any chain is built drops the killed digits as well.
 
 A leading position whose visited tails times points reach _PARALLEL_MIN
 (2^28 cells, where a second worker began to pay for its pool) fans out over
@@ -53,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .finite_field import FiniteField, shared
+from .finite_field import FiniteField, prime_factors, shared
 from .weighted_space import (BudgetExceeded, WeightedProjectiveSpace, as_weights,
                              coset_product_keys, projective_count, space,
                              stabiliser_chain)
@@ -227,20 +245,70 @@ def _torus_rank(q: int, exponents) -> int | None:
     return int(np.linalg.matrix_rank(np.diff(np.asarray(exponents), axis=0)))
 
 
+def _is_killed(exponents: tuple, index: dict, lead: int, pos: int,
+               i: int) -> bool:
+    """Whether X_i -> X_i + b M moves nothing before row pos but its
+    coefficient, for a vector led by row lead whose exponents alpha agree
+    with pos past i and exceed it by 1 at i: M = pos - alpha + e_i is a
+    monomial (in X_0..X_(i-1)), and every other term beta + j (pos - alpha)
+    of the translation, beta a row at or after the lead and 1 <= j <=
+    beta_i, is a row after pos."""
+    diff = [b - a for a, b in zip(exponents[lead], exponents[pos])]
+    if any(x < 0 for x in diff[:i]):
+        return False
+    for row in range(lead, len(exponents)):
+        beta = exponents[row]
+        for j in range(1, beta[i] + 1):
+            if (row, j) != (lead, 1) and index.get(
+                    tuple(b + j * x for b, x in zip(beta, diff)), -1) <= pos:
+                return False
+    return True
+
+
+@shared
+def _killed_digits(exponents: tuple, p: int, L: int) -> tuple[int, ...]:
+    """Per leading position, the bit mask of its high digits (bit j is row
+    lead + 1 + j) that the normal form zeroes: the rows pos = alpha - e_i +
+    M that `_is_killed` accepts, p not dividing alpha_i.  A candidate pos
+    agrees with alpha past i, so the rows are looked up by (i, suffix)."""
+    k = len(exponents)
+    index = {e: j for j, e in enumerate(exponents)}
+    by_suffix = {}
+    for j, e in enumerate(exponents):
+        for i in range(len(e)):
+            by_suffix.setdefault((i, e[i:]), []).append(j)
+    out = []
+    for lead, alpha in enumerate(exponents):
+        mask = 0
+        for i, a in enumerate(alpha):
+            if a % p == 0:
+                continue
+            for pos in by_suffix.get((i, (a - 1,) + alpha[i + 1:]), ()):
+                if lead < pos < k - L and _is_killed(exponents, index, lead,
+                                                     pos, i):
+                    mask |= 1 << (pos - lead - 1)
+        out.append(mask)
+    return tuple(out)
+
+
 def _visited_floor(k: int, L: int, q: int, exponents) -> int:
     """A lower bound on the tails a sweep visits, from sizes alone.
 
     An orbit of a torus of rank r has at most (q-1)^r members, so a support
-    of s high digits holds at least max(1, (q-1)^(s-r)) canonical high parts.
-    A sweep over this floor is refused before any chain is built.
+    of s high digits, none of them killed, holds at least
+    max(1, (q-1)^(s-r)) canonical high parts.  A sweep over this floor is
+    refused before any chain is built.
     """
     r = _torus_rank(q, exponents)
+    killed = (0,) * k if r is None \
+        else _killed_digits(exponents, prime_factors(q)[0], L)
     out = 0
     for lead in range(k):
         cols, hw = _lead_shape(q, k, L, lead)
+        free = hw - killed[lead].bit_count()
         out += cols * (q ** hw if r is None else sum(
-            math.comb(hw, s) * (q - 1) ** max(0, s - r)
-            for s in range(hw + 1)))
+            math.comb(free, s) * (q - 1) ** max(0, s - r)
+            for s in range(free + 1)))
     return out
 
 
@@ -251,10 +319,12 @@ def _sweep_plan(k: int, L: int, field: FiniteField, exponents) -> _SweepPlan:
 
     Torus coordinate i adds (beta_j - alpha_lead)_i to log c_j, so on a
     support of the high digits the generator rows are those character
-    entries, one column per high digit in order.
+    entries, one column per high digit in order.  A support that holds a
+    killed digit (`_killed_digits`) is skipped.
     """
     q, n1 = field.q, field.q - 1
     r = _torus_rank(q, exponents)
+    killed = None if r is None else _killed_digits(exponents, field.p, L)
     leads = []
     for lead in range(k):
         cols, hw = _lead_shape(q, k, L, lead)
@@ -266,6 +336,8 @@ def _sweep_plan(k: int, L: int, field: FiniteField, exponents) -> _SweepPlan:
                  for p in range(hw)]
         widths, count = [], 0
         for mask in range(1 << hw):
+            if mask & killed[lead]:
+                continue
             positions = tuple(p for p in range(hw) if mask >> p & 1)
             chain = stabiliser_chain(
                 tuple(zip(*(chars[p] for p in positions))), field)
@@ -300,8 +372,8 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
     the tails of the plan, however early the sweep stops.  Every lead scans
     the sorted array of its high parts (`_canonical_highs`): with the
     exponents of the monomials of V's rows, only the high parts lex-least
-    in their torus orbit (`_sweep_plan`), else all of them; the result is
-    the same.
+    in their torus orbit whose support holds no killed digit
+    (`_sweep_plan`), else all of them; the result is the same.
     """
     k, n = V.shape
     q = field.q

@@ -5,10 +5,17 @@ order that Reed-Muller codes were built from before RM became the chart
 x_0 != 0 of the projective code; `evaluate` is the scalar evaluator that
 `monomial_values` and `WeightedPolynomial.evaluate_many` replaced, and
 `monomial_values` the array kernel with a separate zero mask that the
-one-pass log-domain kernel replaced.
+one-pass log-domain kernel replaced.  `torus_sweep_plan` is the sweep plan
+that visited one tail per torus class of high parts on every support, before
+the normal form zeroed the killed digits.
 """
 
+import math
+
 import numpy as np
+
+from wprm.weighted_space import stabiliser_chain
+from wprm.zero_sets import _LeadPlan, _SweepPlan, _lead_shape, _torus_rank
 
 
 def affine_points(field, m: int) -> np.ndarray:
@@ -67,3 +74,32 @@ def monomial_values(field, coords, exponents) -> np.ndarray:
     out = field.exp_table[(E @ logs.T) % (field.q - 1)]
     out[(E > 0).astype(np.int64) @ zero.T.astype(np.int64) > 0] = 0
     return out
+
+
+def torus_sweep_plan(k: int, L: int, field, exponents) -> _SweepPlan:
+    """The visited tails of every leading position of a sweep with k rows
+    and L low digits, and their total: the torus-canonical high parts of
+    every high support, or every tail without a torus plan."""
+    q, n1 = field.q, field.q - 1
+    r = _torus_rank(q, exponents)
+    leads = []
+    for lead in range(k):
+        cols, hw = _lead_shape(q, k, L, lead)
+        if r is None or hw == 0:
+            leads.append(_LeadPlan(cols, hw, None, cols * q ** hw))
+            continue
+        alpha = exponents[lead]
+        chars = [[(b - a) % n1 for b, a in zip(exponents[lead + 1 + p], alpha)]
+                 for p in range(hw)]
+        widths, count = [], 0
+        for mask in range(1 << hw):
+            positions = tuple(p for p in range(hw) if mask >> p & 1)
+            chain = stabiliser_chain(
+                tuple(zip(*(chars[p] for p in positions))), field)
+            row = [0] * hw
+            for p, link in zip(positions, chain):
+                row[p] = link.width
+            widths.append(tuple(row))
+            count += math.prod(link.width for link in chain)
+        leads.append(_LeadPlan(cols, hw, tuple(widths), cols * count))
+    return _SweepPlan(tuple(leads), sum(lp.visited for lp in leads))

@@ -144,6 +144,23 @@ def test_eq_search_budget_error(capsys):
     assert "budget" in err
 
 
+def test_eq_search_answers_past_the_torus_only_budget(capsys):
+    # The torus-only sweep was refused at the default budget (479,807,031
+    # visited tails) and took 1,062,150 tails on the second; the normal
+    # form visits 17,372,656 and 225.
+    rc, out, err = run(capsys, "eq-search", "--weights", "1,1,1", "--q", "5",
+                       "--d", "4", "--format", "json")
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["value"], payload["witness_polynomial"]) == (
+        21, "1*X0*X1^3 + 1*X0^3*X1")
+    rc, out, err = run(capsys, "eq-search", "--weights", "1,1,1", "--q",
+                       "101", "--d", "2", "--budget", "1000", "--format",
+                       "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["value"] == 203 == 2 * 101 + 1
+
+
 def test_tuple_budget_does_not_stick_to_the_shared_space(capsys):
     # The budget bounds this call's enumeration; the space the CLI got from
     # the shared cache must not keep it for later callers, nor skip it
@@ -222,6 +239,19 @@ def test_degree_zero_table(capsys):
                           "PRM,,5,0,31,1,31,1.032,32/31"]
     assert all(line.endswith(",5,0,31,1,31,1.032,32/31")
                for line in lines[3:]) and len(lines) == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "rm", "--q", "5", "--m", "0", "--d", "0"],
+    ["--kind", "rm", "--q", "5", "--m", "0", "--d", "2"],
+    ["--kind", "prm", "--q", "5", "--m", "0", "--d", "1"],
+])
+def test_codes_on_a_single_point_answer_as_the_sweep_does(capsys, argv):
+    # No formula or witness applies at m = 0, so `auto` takes the sweep.
+    rc, out, err = run(capsys, "code", *argv)
+    assert (rc, err) == (0, "")
+    assert out.startswith("[1,1,1]_5 via exhaustive")
+    assert run(capsys, "code", *argv, "--method", "exhaustive") == (0, out, "")
 
 
 @pytest.mark.parametrize("argv,message", [

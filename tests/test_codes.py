@@ -228,6 +228,12 @@ def test_formula_reasons():
     inst = build_code("wprm", fq, 3, 2, (1, 1, 1, 2))
     val, reason = min_distance_formula(inst)
     assert val is None and "plane" in reason
+    # P^0 is one point: no formula, and no pair of coordinates for a witness
+    for kind, d in [("rm", 0), ("rm", 2), ("prm", 1)]:
+        inst = build_code(kind, fq, 0, d)
+        val, reason = min_distance_formula(inst)
+        assert val is None and "m >= 1" in reason
+        assert min_distance_witness(inst) is None
 
 
 def test_witness_certificates_match_formula():

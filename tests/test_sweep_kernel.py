@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import wprm.zero_sets as zs
 from wprm.finite_field import GF
 from wprm.weighted_poly import monomial_basis
+from reference import torus_sweep_plan
 
 FIELDS = [GF(2), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
 
@@ -135,11 +136,16 @@ def test_scan_block_memory_is_bounded_by_cells(monkeypatch):
     # `eq-search --weights 1,1,1 --q 101 --d 2` has no low digits (L = 0), so
     # a block of 2^14 high parts would hold a (16384, 10303) int64 product;
     # the block is capped by compare cells, and the answer does not move.
+    # The sweep plan keeps 2 high parts of lead 1, so the scan takes the
+    # lead's torus-only high parts to reach the cap.
     fq, ws, d = GF(101), (1, 1, 1), 2
     V = zs.monomial_matrix(ws, fq, d)
     k, n = V.shape
     L = zs._low_width(fq.q, k, n)
-    lead = zs._sweep_plan(k, L, fq, tuple(monomial_basis(ws, d))).leads[1]
+    basis = tuple(monomial_basis(ws, d))
+    assert len(zs._canonical_highs(
+        zs._sweep_plan(k, L, fq, basis).leads[1], fq)) == 2
+    lead = torus_sweep_plan(k, L, fq, basis).leads[1]
     highs = zs._canonical_highs(lead, fq)
     assert (n, L, len(highs)) == (10303, 0, 10412)
     T = np.zeros((n, 1), dtype=np.uint8)
