@@ -356,6 +356,9 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else args.suite.split(",")
+    if args.per_bound is not None and args.per_bound < 1:
+        raise ValueError(f"--per-bound counts polynomials per bound, so it "
+                         f"is >= 1, got {args.per_bound}")
     given = {"qs": args.q,
              "seed": args.seed,
              "per_bound": args.per_bound,

@@ -143,7 +143,9 @@ def build_code(kind: str, field: FiniteField, m: int, d: int,
     powers = d // np.array(ws.weights)[chart]
     leading = points[np.arange(len(points)), chart]
     log_norm = -powers * field.log_table[leading] % (q - 1)
-    if d > (q - 1 if kind == "rm" else q):
+    # x^q - x (RM) and X0^q X1 - X0 X1^q (PRM) vanish on every point; for
+    # WPRM the degree alone does not decide injectivity.
+    if kind != "wprm" and d > (q - 1 if kind == "rm" else q):
         sign = ">=" if kind == "rm" else ">"
         warnings.warn(f"{kind.upper()} with d = {d} {sign} q = {q}: the "
                       f"evaluation map need not be injective; dimension "

@@ -255,10 +255,6 @@ class FiniteField:
             return 1 if n == 0 else 0
         return int(self.exp_table[(self.log_table[a] * n) % (self.q - 1)])
 
-    def from_int(self, n: int) -> int:
-        """Image of the integer n under Z -> GF(p^e) (lands in the prime subfield)."""
-        return n % self.p
-
     # -- vectorised arithmetic on int64 index arrays --------------------------
 
     def add_arr(self, a, b) -> np.ndarray:

@@ -310,11 +310,6 @@ class WeightedProjectiveSpace:
         g = _strip_char(math.gcd(*[ws[i] for i in support]), self.field.p)
         return [ws[i] // g % n1 for i in support]
 
-    def scaling_generator(self, support: tuple[int, ...]) -> tuple[int, ...]:
-        """Per-coordinate multipliers generating the representative set on a support."""
-        exp = self.field.exp_table
-        return tuple(int(exp[c]) for c in self._scaling_logs(support))
-
     def _chain(self, support: tuple[int, ...]) -> tuple[_Link, ...]:
         """The stabiliser chain of a support: one generator, the scalings."""
         return stabiliser_chain((tuple(self._scaling_logs(support)),),
@@ -466,14 +461,6 @@ class SingularLocusReport:
     @property
     def is_smooth(self) -> bool:
         return not self.sigma
-
-    def vertex_points(self, npos: int) -> list[tuple[int, ...]]:
-        """The singular vertices, when every component is a single coordinate point."""
-        out = []
-        for ix in self.components.values():
-            if len(ix) == 1:
-                out.append(tuple(1 if j == ix[0] else 0 for j in range(npos)))
-        return out
 
 
 def singular_locus(ws, *, allow_non_well_formed: bool = False) -> SingularLocusReport:

@@ -53,10 +53,14 @@ counted from the chain widths before the sweep starts; the floor that
 refuses a sweep before any chain is built drops the killed digits as well.
 
 A leading position whose visited tails times points reach _PARALLEL_MIN
-(2^28 cells, where a second worker began to pay for its pool) fans out over
-one process pool per sweep; the reduction is an ordered max, so results and
-witnesses are identical at any parallelism.  Only such a lead resolves the
-worker count (`jobs`, else WPRM_JOBS, else the CPU count).
+(2^28 cells, where a second worker began to pay for its pool) maps
+consecutive slices of its high parts over one process pool per sweep.  A
+serial lead is one slice, and one loop merges every slice of every lead in
+scan order, keeping the first maximum, so results and witnesses are
+identical at any parallelism.  The pool is shut down with cancel_futures
+once the sweep ends, which drops the slices still pending after an early
+stop.  Only such a lead resolves the worker count (`jobs`, else WPRM_JOBS,
+else the CPU count).
 """
 
 from __future__ import annotations
@@ -409,39 +413,27 @@ def _max_zeros_sweep(V: np.ndarray, field: FiniteField, *, exponents=None,
                 if lp.visited * n >= _PARALLEL_MIN else 1
             if workers > 1:
                 if pool is None:
-                    pool = stack.enter_context(
-                        concurrent.futures.ProcessPoolExecutor(
-                            max_workers=workers))
-                b, t = _scan_lead_parallel(pool, field, V, T, lead, highs,
-                                           stop_at, workers)
+                    pool = concurrent.futures.ProcessPoolExecutor(
+                        max_workers=workers)
+                    stack.callback(pool.shutdown, cancel_futures=True)
+                # workers * 4 consecutive slices of the high parts; the
+                # field pickles as GF(p, e), so a worker gets its cached copy.
+                step = -(-len(highs) // (workers * 4))
+                results = pool.map(
+                    functools.partial(_scan_lead_range, field, V, T, lead,
+                                      stop_at=stop_at),
+                    [highs[a:a + step] for a in range(0, len(highs), step)])
             else:
-                b, t = _scan_lead_range(field, V, T, lead, highs, stop_at)
-            if b > best:
-                best, best_lead, best_tail = b, lead, t
-                if best >= stop_at:
-                    break
+                results = [_scan_lead_range(field, V, T, lead, highs, stop_at)]
+            # Slices and leads alike: the first maximum in scan order.
+            for b, t in results:
+                if b > best:
+                    best, best_lead, best_tail = b, lead, t
+                    if best >= stop_at:
+                        break
+            if best >= stop_at:
+                break
     return best, (best_lead, best_tail), total, plan.visited
-
-
-def _scan_lead_parallel(pool, field, V, T, lead, highs, stop_at, jobs):
-    # jobs * 4 consecutive slices of the high parts, reduced in order.
-    step = -(-len(highs) // (jobs * 4))
-    # The field pickles as GF(p, e), so a worker gets its cached copy.
-    futures = [pool.submit(_scan_lead_range, field, V, T, lead,
-                           highs[a:a + step], stop_at)
-               for a in range(0, len(highs), step)]
-    best, best_tail = -1, -1
-    try:
-        for fut in futures:
-            b, t = fut.result()
-            if b > best:
-                best, best_tail = b, t
-                if best >= stop_at:
-                    break
-    finally:
-        for fut in futures:
-            fut.cancel()
-    return best, best_tail
 
 
 def coeffs_at(q: int, k: int, lead: int, tail: int) -> list[int]:

@@ -167,6 +167,21 @@ def test_delorme_budget_blowups_are_skipped_not_passed():
     assert f"{tight.skipped} skipped" in summary
 
 
+@pytest.mark.parametrize("run,checks,skipped", [
+    # P^2 over F_4 at d = 5 covers 1.5e12 classes
+    (lambda: suite_classical_max(qs=(4,)), 9, 1),
+    (lambda: suite_plane_max(qs=(5,)), 8, 1),
+    (lambda: suite_small_code_distance(qs=(7,), max_a2=3), 5, 2),
+])
+def test_max_zeros_suites_skip_a_sweep_over_budget(run, checks, skipped):
+    # A sweep the budget refuses is a skip, never a check, and the suite
+    # goes on to its other cases.
+    res = run()
+    assert res.ok and (res.checks, res.skipped) == (checks, skipped)
+    assert res.summary().endswith(f", {skipped} skipped, "
+                                  f"{res.elapsed:.2f}s")
+
+
 # A wrong answer for one reduced space, one per kind of answer the suite
 # checks: the image of the point map, whose first source point is sent to
 # the image of the second, and the answers it computes once per (field,
@@ -250,18 +265,17 @@ def test_lines_suite_reports_a_wrong_incidence(monkeypatch):
     (lambda: suite_delorme(**DELORME_SMALL), 2, 4, (1, 2, 4)),
     (lambda: suite_small_code_distance(qs=(3,), max_a2=3), 3, 6, (1, 2, 3)),
 ])
-def test_suites_silence_their_wprm_past_q_warning(run, q, d, ws):
-    # Each suite builds the code of (q, d, ws) on purpose; outside the suite
-    # the same build still warns.
+def test_suites_emit_no_warning(run, q, d, ws):
+    # Each suite builds the WPRM code of (q, d, ws), d > q; neither the
+    # suite nor that build warns, and the suite leaves the filters as they
+    # were.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         filters = list(warnings.filters)
         res = run()
         assert warnings.filters == filters
-        assert res.ok and caught == []
         build_code("wprm", GF(q), 2, d, ws)
-    assert len(caught) == 1
-    assert str(caught[0].message).startswith(f"WPRM with d = {d} > q = {q}:")
+    assert res.ok and caught == []
 
 
 def test_criterion_8_bound_suites():

@@ -337,6 +337,28 @@ def test_verify_command(capsys):
     assert out.startswith("PASS classical-max")
 
 
+def test_verify_skips_a_sweep_over_budget(capsys):
+    # classical-max at q = 4 and d = 5 goes over the budget: a skip, and the
+    # suites after it still run.
+    rc, out, err = run(capsys, "verify", "--suite", "classical-max,lines",
+                       "--q", "4")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS classical-max: 9 checks, 0 failures, "
+                               "1 skipped, ")
+    assert lines[1].startswith("PASS lines: ")
+
+
+@pytest.mark.parametrize("per_bound", ["0", "-3"])
+def test_verify_refuses_per_bound_below_one(capsys, monkeypatch, per_bound):
+    # refused before any suite runs
+    monkeypatch.setitem(cli.SUITES, "points", None)
+    rc, out, err = run(capsys, "verify", "--per-bound", per_bound)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: --per-bound counts polynomials per bound, so it "
+                   f"is >= 1, got {per_bound}\n")
+
+
 def test_verify_unknown_suite(capsys):
     rc, out, err = run(capsys, "verify", "--suite", "nope")
     assert (rc, out) == (2, "")

@@ -108,7 +108,7 @@ def code_grid(qs):
     few multiples of the weights' lcm; rank-deficient codes included."""
     out = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # d > q: "need not be injective"
+        warnings.simplefilter("ignore")  # RM d >= q, PRM d > q: not injective
         for q in qs:
             fq = field_from_spec(str(q))
             for m in (1, 2):
@@ -139,15 +139,13 @@ def delorme_codes():
     """The WPRM codes of the default delorme verify suite: each reduction
     step's source in degree lcm * b and its reduction in degree lcm."""
     out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # d > q: "need not be injective"
-        for q in (2, 3):
-            fq = field_from_spec(str(q))
-            for source, i, b in _reduction_steps(4, 3):
-                red = delorme_reduce(source, i, b).reduced
-                k = red.lcm
-                out.append(build_code("wprm", fq, red.m, k * b, source))
-                out.append(build_code("wprm", fq, red.m, k, red))
+    for q in (2, 3):
+        fq = field_from_spec(str(q))
+        for source, i, b in _reduction_steps(4, 3):
+            red = delorme_reduce(source, i, b).reduced
+            k = red.lcm
+            out.append(build_code("wprm", fq, red.m, k * b, source))
+            out.append(build_code("wprm", fq, red.m, k, red))
     return out
 
 

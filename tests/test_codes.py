@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -148,9 +149,21 @@ def test_encode_errors():
         (1, 1, 1), fq, (0, 1, 0))).tolist() == rm.points[:, 1].tolist()
 
 
+def test_only_rm_and_prm_warn_on_their_degree():
+    # x^q - x and X0^q X1 - X0 X1^q vanish on every point, so RM at d >= q
+    # and PRM at d > q are never injective; a WPRM code with d > q can be.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = build_code("wprm", GF(2, 2), 2, 6, (1, 2, 3))
+    assert inst.rank == dim_Sd((1, 2, 3), 6) == 7
+    with pytest.warns(UserWarning, match="RM with d = 4 >= q = 4"):
+        build_code("rm", GF(2, 2), 1, 4)
+    with pytest.warns(UserWarning, match="PRM with d = 4 > q = 3"):
+        build_code("prm", GF(3), 1, 4)
+
+
 def test_encode_refuses_a_polynomial_from_another_field():
-    with pytest.warns(UserWarning, match="need not be injective"):
-        inst = build_code("wprm", GF(5), 2, 6, (1, 2, 3))
+    inst = build_code("wprm", GF(5), 2, 6, (1, 2, 3))
     F = parse_polynomial("6*X0^6 + 1*X2^2", (1, 2, 3), GF(7))
     with pytest.raises(ValueError, match="GF\\(7\\)"):
         encode(inst, F)

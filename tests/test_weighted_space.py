@@ -219,7 +219,6 @@ def test_singular_locus():
     assert rep.sigma == (2, 3)
     assert rep.components == {2: (1,), 3: (2,)}
     assert rep.dimensions == {2: 0, 3: 0}
-    assert rep.vertex_points(3) == [(0, 1, 0), (0, 0, 1)]
     assert singular_locus((1, 1, 1)).is_smooth
     with pytest.raises(ValueError):
         singular_locus((1, 2, 2))
